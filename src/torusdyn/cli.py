@@ -1,9 +1,14 @@
-"""Command-line driver: `torusdyn run <config> [--out DIR] [--seed N]
-[--threads N]`.
+"""Command-line driver: `torusdyn run <config> [--out DIR] [--seed N]`.
 
 Every run writes its outputs plus a manifest.json that echoes the fully
-resolved config and hashes each produced file.  Exit codes: 0 pass,
-1 check failure, 2 usage/config error, 3 numerical abort.
+resolved config and hashes each produced file.  `[map] map = NAME` picks
+one of `maps.BUILTIN_MAPS`, each reading its own keys: standard (k,
+epsilon), translation (a, b), identity (none), drift_shear (d),
+linear_saddle (lam).
+
+Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
+values carry their line number); 3 numerical abort (orbit escape,
+non-finite image, singular Newton matrix, failed manifold growth).
 """
 
 from __future__ import annotations
@@ -480,7 +485,6 @@ def main(argv=None) -> int:
     runp.add_argument("config", type=Path)
     runp.add_argument("--out", type=Path, default=None)
     runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -491,8 +495,6 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.rng_seed = args.seed
         cfg.values["run"]["rng_seed"] = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     outdir = args.out or Path(cfg.out_dir or "out")
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -501,7 +503,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (maps.OrbitEscapeError, FloatingPointError) as exc:
+    except (maps.OrbitEscapeError, FloatingPointError, periodic.SingularNewtonError, mfd.GrowthError) as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     write_manifest(outdir, cfg.resolved(), cfg.warnings)

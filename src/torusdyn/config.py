@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .confinement import MODES
+from .maps import BUILTIN_MAPS
+
 COMMANDS = (
     "rotset",
     "vrotset",
@@ -24,9 +27,6 @@ COMMANDS = (
     "check-all",
 )
 
-MAP_NAMES = ("standard", "translation", "identity", "drift_shear", "linear_saddle")
-
-
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -35,18 +35,15 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _parse_command(s: str):
-    if s not in COMMANDS:
-        raise ValueError("unknown command %r (expected one of %s)" % (s, ", ".join(COMMANDS)))
-    return s
+def _choice(names):
+    """Parser that accepts exactly one of `names`."""
 
-
-def _parse_map_name(s: str):
-    if s == "custom":
+    def parse(s: str):
+        if s not in names:
+            raise ValueError("%r is not one of %s" % (s, ", ".join(names)))
         return s
-    if s not in MAP_NAMES:
-        raise ValueError("unknown map %r" % s)
-    return s
+
+    return parse
 
 
 def _parse_rho(s: str):
@@ -59,8 +56,7 @@ def _parse_rho(s: str):
 # section -> key -> (parser, default); None default means required-if-used
 SCHEMA = {
     "map": {
-        "map": (_parse_map_name, "standard"),
-        "name": (str, None),
+        "map": (_choice(tuple(BUILTIN_MAPS)), "standard"),
         "k": (float, 2.0),
         "epsilon": (float, 0.0),
         "a": (float, 0.0),
@@ -69,10 +65,9 @@ SCHEMA = {
         "lam": (float, 2.0),
     },
     "run": {
-        "command": (_parse_command, None),
+        "command": (_choice(COMMANDS), None),
         "rng_seed": (int, 0),
         "out": (str, None),
-        "threads": (int, 1),
     },
     "rotset": {"grid": (int, 64), "n1": (int, 1000), "n2": (int, 10000)},
     "vrotset": {"grid": (int, 64), "n1": (int, 1000), "n2": (int, 10000)},
@@ -89,15 +84,13 @@ SCHEMA = {
         "r": (int, 0),
         "seed_x": (float, 0.1),
         "seed_y": (float, 0.1),
-        "kind": (str, "unstable"),
-        "branch": (str, "+"),
         "budget": (float, 200.0),
         "h_max": (float, 1e-3),
         "delta": (float, 1e-6),
     },
     "translates": {"range": (int, 1), "max_witnesses": (int, 1)},
     "confinement": {
-        "mode": (str, "south"),
+        "mode": (_choice(MODES), "south"),
         "theta": (float, 0.0),
         "window": (float, 4.0),
         "step": (float, 1.0 / 128.0),
@@ -128,7 +121,6 @@ class RunConfig:
     values: dict                 # section -> key -> parsed value (defaults filled)
     rng_seed: int = 0
     out_dir: str | None = None
-    threads: int = 1
     warnings: list = field(default_factory=list)
 
     def get(self, section: str, key: str):
@@ -195,29 +187,11 @@ def parse_config(text: str) -> RunConfig:
         values=values,
         rng_seed=values["run"]["rng_seed"],
         out_dir=values["run"]["out"],
-        threads=values["run"]["threads"],
         warnings=warnings,
     )
 
 
 def build_map(cfg: RunConfig):
     """Instantiate the configured map from the [map] block."""
-    from . import maps
-
     kv = cfg.values["map"]
-    name = kv["map"]
-    if name == "custom":
-        name = kv.get("name")
-        if name not in MAP_NAMES:
-            raise ConfigError("map = custom requires a known 'name'")
-    if name == "standard":
-        return maps.make_standard_map(kv["k"], kv["epsilon"])
-    if name == "translation":
-        return maps.make_translation_map(kv["a"], kv["b"])
-    if name == "identity":
-        return maps.make_identity_map()
-    if name == "drift_shear":
-        return maps.make_drift_shear(kv["d"])
-    if name == "linear_saddle":
-        return maps.make_linear_saddle(kv["lam"])
-    raise ConfigError("no map configured")
+    return BUILTIN_MAPS[kv["map"]](kv)

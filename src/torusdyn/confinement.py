@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 
 from .maps import LiftedTorusMap
 
+MODES = ("theta", "south", "north")
 DEFAULT_WINDOW = ((-4.0, 4.0), (-4.0, 4.0))
 DEFAULT_GRID_STEP = 1.0 / 128.0
 DEFAULT_HORIZON = 1000
@@ -58,14 +59,17 @@ class DiskReport:
     max_diameter: float  # max over non-boundary-touching components
 
 
-def _direction(mode: str, theta: float | None) -> np.ndarray:
+def _half_plane(mode: str, theta: float | None):
+    """Direction d of the mode's half plane <z, d> >= 0 and its predicate
+    ok(Z), one bool per row of Z."""
     if mode == "theta":
-        return np.array([np.cos(theta), np.sin(theta)])
+        d = np.array([np.cos(theta), np.sin(theta)])
+        return d, lambda Z: Z @ d >= 0.0
     if mode == "south":
-        return np.array([0.0, -1.0])
+        return np.array([0.0, -1.0]), lambda Z: Z[:, 1] <= 0.0
     if mode == "north":
-        return np.array([0.0, 1.0])
-    raise ValueError("mode must be 'theta', 'south' or 'north'")
+        return np.array([0.0, 1.0]), lambda Z: Z[:, 1] >= 0.0
+    raise ValueError("mode must be one of %s" % ", ".join(MODES))
 
 
 def compute_confinement(
@@ -86,61 +90,45 @@ def compute_confinement(
         raise ValueError("horizon must be >= 1")
     if mode == "theta" and theta is None:
         raise ValueError("theta mode needs an angle")
-    d = _direction(mode, theta)
+    _, ok = _half_plane(mode, theta)
 
     (x0, x1), (y0, y1) = window
     xs = np.arange(x0, x1 + grid_step / 2, grid_step)
     ys = np.arange(y0, y1 + grid_step / 2, grid_step)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("empty grid")
+    shape = (len(xs), len(ys))
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    idx = np.stack(np.meshgrid(np.arange(len(xs)), np.arange(len(ys)), indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
-    if mode == "theta":
-        def ok(Z):
-            return Z @ d >= 0.0
-    elif mode == "south":
-        def ok(Z):
-            return Z[:, 1] <= 0.0
-    else:
-        def ok(Z):
-            return Z[:, 1] >= 0.0
-
-    alive = ok(pts)
-    pts, idx = pts[alive], idx[alive]
-    Z = pts.copy()
+    # survivors are carried as flat grid indices next to their iterates
+    flat = np.flatnonzero(ok(grid))
+    Z = grid[flat]
     for _ in range(horizon):
         if len(Z) == 0:
             break
         Z = m.forward(Z)
         alive = ok(Z)
-        pts, idx, Z = pts[alive], idx[alive], Z[alive]
+        flat, Z = flat[alive], Z[alive]
 
-    mask = np.zeros((len(xs), len(ys)), dtype=bool)
-    mask[idx[:, 0], idx[:, 1]] = True
-    lab, _ = ndimage.label(mask)
-    labels = lab[idx[:, 0], idx[:, 1]]
-    flags = {}
-    for cid in np.unique(labels):
-        rows = idx[labels == cid]
-        flags[int(cid)] = bool(
-            np.any(rows[:, 0] == 0)
-            or np.any(rows[:, 0] == len(xs) - 1)
-            or np.any(rows[:, 1] == 0)
-            or np.any(rows[:, 1] == len(ys) - 1)
-        )
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[flat] = True
+    lab, n = ndimage.label(mask)
+    # a component is flagged when any of its cells lies on the window boundary
+    on_boundary = np.zeros(n + 1, dtype=bool)
+    on_boundary[lab[[0, -1], :]] = True
+    on_boundary[lab[:, [0, -1]]] = True
     return ConfinementCloud(
         mode=mode,
         theta=theta,
         horizon=horizon,
         window=window,
         grid_step=grid_step,
-        points=pts,
-        labels=labels,
-        unbounded_flags=flags,
-        grid_shape=(len(xs), len(ys)),
-        index=idx,
+        points=grid[flat],
+        labels=lab.flat[flat],
+        unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
+        grid_shape=shape,
+        index=np.stack(np.unravel_index(flat, shape), axis=-1),
     )
 
 
@@ -163,16 +151,7 @@ def omega_probe(
     if len(pts) > max_samples:
         stride = int(np.ceil(len(pts) / max_samples))
         pts = pts[::stride]
-    d = _direction(cloud.mode, cloud.theta)
-    if cloud.mode == "theta":
-        def ok(Z):
-            return Z @ d >= 0.0
-    elif cloud.mode == "south":
-        def ok(Z):
-            return Z[:, 1] <= 0.0
-    else:
-        def ok(Z):
-            return Z[:, 1] >= 0.0
+    d, ok = _half_plane(cloud.mode, cloud.theta)
     (x0, x1), (y0, y1) = cloud.window
 
     # points whose later iterates break the inequality were finite-horizon

@@ -10,7 +10,7 @@ complementary components, so tangential touches never count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,16 +45,7 @@ class ManifoldCurve:
     h_max: float
 
     def translated(self, v) -> "ManifoldCurve":
-        v = np.asarray(v, dtype=float)
-        return ManifoldCurve(
-            owner=self.owner,
-            kind=self.kind,
-            branch=self.branch,
-            vertices=self.vertices + v,
-            arclength=self.arclength,
-            growth_log=self.growth_log,
-            h_max=self.h_max,
-        )
+        return replace(self, vertices=self.vertices + np.asarray(v, dtype=float))
 
 
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:

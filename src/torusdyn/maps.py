@@ -8,7 +8,7 @@ numpy arrays of shape (..., 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -169,7 +169,7 @@ def make_translation_map(a: float, b: float) -> LiftedTorusMap:
 
 
 def make_identity_map() -> LiftedTorusMap:
-    return make_translation_map(0.0, 0.0)
+    return replace(make_translation_map(0.0, 0.0), name="identity")
 
 
 def make_drift_shear(d: float) -> LiftedTorusMap:
@@ -242,12 +242,15 @@ def make_linear_saddle(lam: float = 2.0) -> LiftedTorusMap:
     )
 
 
+# Config `map` name -> factory reading its keys from the resolved [map] block.
+# The lambdas look the factories up by module name at call time, so a
+# factory replaced on this module (e.g. by a tracer) is the one called.
 BUILTIN_MAPS = {
-    "standard": make_standard_map,
-    "translation": make_translation_map,
-    "identity": make_identity_map,
-    "drift_shear": make_drift_shear,
-    "linear_saddle": make_linear_saddle,
+    "standard": lambda kv: make_standard_map(kv["k"], kv["epsilon"]),
+    "translation": lambda kv: make_translation_map(kv["a"], kv["b"]),
+    "identity": lambda kv: make_identity_map(),
+    "drift_shear": lambda kv: make_drift_shear(kv["d"]),
+    "linear_saddle": lambda kv: make_linear_saddle(kv["lam"]),
 }
 
 

@@ -7,7 +7,7 @@ eigenvalues are positive and whose manifold branches are invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,15 +170,7 @@ def _normalize_representative(m: LiftedTorusMap, pp: PeriodicPoint) -> PeriodicP
         v = np.array([np.floor(z[0] + 1e-9), 0.0])
     if not np.any(v):
         return pp
-    return PeriodicPoint(
-        point=z - v,
-        period=pp.period,
-        translation=pp.translation,
-        jacobian=pp.jacobian,
-        eigenvalues=pp.eigenvalues,
-        classification=pp.classification,
-        residual=pp.residual,
-    )
+    return replace(pp, point=z - v)
 
 
 def sweep_periodic(

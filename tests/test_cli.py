@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from torusdyn import cli
+from torusdyn import cli, maps
 from torusdyn.config import ConfigError, build_map, parse_config
 from torusdyn.report import sha256_file
 
@@ -111,6 +111,45 @@ def test_bad_config_exits_2(tmp_path):
     code, out = _run(tmp_path, "[map]\nmap = nosuch\n[run]\ncommand = rotset\n")
     assert code == 2
     assert not out.exists()  # no partial outputs
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "[map]\nmap = custom",
+        "[grow]\nkind = x",
+        "[run]\nthreads = 4",
+        "[confinement]\nmode = sideways",
+    ],
+)
+def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
+    text = "[map]\nmap = standard\n[run]\ncommand = confinement\n" + block + "\n"
+    code, out = _run(tmp_path, text)
+    assert code == 2
+    assert "line 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_flag_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_ROTSET)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(cfg), "--threads", "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", sorted(maps.BUILTIN_MAPS))
+def test_every_builtin_map_builds_from_config(name):
+    cfg = parse_config("[map]\nmap = %s\n[run]\ncommand = rotset\n" % name)
+    assert build_map(cfg).name == name
+
+
+@pytest.mark.parametrize("grow", ["k = 0", "k = 2\n[grow]\nbudget = 1e-9"])
+def test_numerical_abort_exits_3(tmp_path, grow):
+    # k = 0: the fixed-point Newton matrix is singular; a budget below the
+    # first fundamental-domain step stops manifold growth
+    code, _ = _run(tmp_path, "[run]\ncommand = grow\n[map]\nmap = standard\n" + grow + "\n")
+    assert code == 3
 
 
 def test_missing_config_file_exits_2(tmp_path):

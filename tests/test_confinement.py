@@ -60,6 +60,32 @@ def test_components_partition_points():
     assert set(cloud.unbounded_flags) == set(np.unique(cloud.labels))
 
 
+def _per_component_flags(cloud):
+    """Reference boundary test: one pass over the survivors per component."""
+    nx, ny = cloud.grid_shape
+    flags = {}
+    for cid in np.unique(cloud.labels):
+        rows = cloud.index[cloud.labels == cid]
+        flags[int(cid)] = bool(
+            np.any(rows[:, 0] == 0)
+            or np.any(rows[:, 0] == nx - 1)
+            or np.any(rows[:, 1] == 0)
+            or np.any(rows[:, 1] == ny - 1)
+        )
+    return flags
+
+
+@pytest.mark.parametrize("mode", ["south", "north"])
+def test_unbounded_flags_match_per_component_loop(mode):
+    m = td.make_standard_map(1.0)
+    cloud = compute_confinement(m, mode, horizon=20, **SMALL)
+    axis = np.arange(-1.0, 1.0 + 1 / 32, 1 / 16)
+    np.testing.assert_array_equal(cloud.points, axis[cloud.index])
+    flags = _per_component_flags(cloud)
+    assert cloud.unbounded_flags == flags
+    assert any(flags.values()) and not all(flags.values())
+
+
 def test_south_equals_north_of_reflected_map():
     m = td.make_standard_map(0.3)
     south = compute_confinement(m, "south", horizon=30, **SMALL)
