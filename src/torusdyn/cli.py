@@ -8,7 +8,8 @@ linear_saddle (lam).
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
 values carry their line number); 3 numerical abort (orbit escape,
-non-finite image, singular Newton matrix, failed manifold growth).
+non-finite image, singular Newton matrix, failed manifold growth, a
+[grow] seed with no hyperbolic periodic point).
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def run_find_periodic(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
+class SeedPointError(RuntimeError):
+    """The configured [grow] seed gives no hyperbolic periodic point."""
+
+
 def _hyperbolic_seed_point(m, cfg):
     """Newton from the configured seed; pass to the doubled period when the
     eigenvalues come out negative."""
@@ -137,11 +142,11 @@ def _hyperbolic_seed_point(m, cfg):
     seed = (cfg.get("grow", "seed_x"), cfg.get("grow", "seed_y"))
     pp = periodic.newton_periodic(m, q, pr, seed)
     if pp is None:
-        raise RuntimeError("Newton did not converge from the configured seed")
+        raise SeedPointError("Newton did not converge from the configured seed")
     if pp.classification == "hyperbolic_negative":
         pp = pp.doubled(m)
     if pp.classification != "hyperbolic_positive":
-        raise RuntimeError("seed point is %s, not hyperbolic" % pp.classification)
+        raise SeedPointError("seed point is %s, not hyperbolic" % pp.classification)
     return pp
 
 
@@ -245,11 +250,20 @@ def _make_cloud(m, cfg):
     )
 
 
+def _histogram(values: np.ndarray, bins: int):
+    """np.histogram, widening a range too narrow for `bins` distinct edges
+    by 0.5 each way, as numpy itself does for a zero range."""
+    lo, hi = float(values.min()), float(values.max())
+    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+        return np.histogram(values, bins=bins, range=(lo - 0.5, hi + 0.5))
+    return np.histogram(values, bins=bins)
+
+
 def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
     cloud = _make_cloud(m, cfg)
     verdict, drifts = conf.omega_probe(cloud, m, cfg.get("omega", "extra"))
-    counts, edges = np.histogram(drifts, bins=20)
+    counts, edges = _histogram(drifts, 20)
     write_json(
         outdir / "omega.json",
         {
@@ -503,7 +517,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (maps.OrbitEscapeError, FloatingPointError, periodic.SingularNewtonError, mfd.GrowthError) as exc:
+    except (
+        maps.OrbitEscapeError,
+        FloatingPointError,
+        periodic.SingularNewtonError,
+        mfd.GrowthError,
+        SeedPointError,
+    ) as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     write_manifest(outdir, cfg.resolved(), cfg.warnings)

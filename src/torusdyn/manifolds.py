@@ -6,13 +6,26 @@ adaptive preimage refinement.  Crossings between curves are validated by a
 discretized rectangle test: a witness requires a strict side change across
 the local manifold piece and an exit through a rectangle side in both
 complementary components, so tangential touches never count.
+
+Crossing search is a broad phase followed by a narrow phase.  The broad
+phase pairs segments whose midpoints lie within half the sum of the two
+curves' longest segments, which every strictly crossing pair does.  Its
+index over the target's midpoints (a KD-tree plus a coarse occupancy grid)
+is built once per curve and queried at `midpoints - v` for a translate v;
+the grid drops query points far from the target before the tree is asked.
+The narrow phase tests strict crossings over all candidate pairs at once
+and runs the rectangle walk only on true crossings, in (piece segment,
+target segment) order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .maps import LiftedTorusMap
@@ -22,6 +35,9 @@ DEFAULT_H_MAX = 1e-3
 DEFAULT_DELTA_SEED = 1e-6
 DEFAULT_BUDGET = 200.0
 VERTEX_CAP = 2_000_000
+# the broad-phase occupancy grid has at most this many cells per axis (plus
+# a border), so its memory is bounded whatever the curve's extent
+GRID_CELLS_PER_AXIS = 2048
 
 
 class NonHyperbolicError(ValueError):
@@ -46,6 +62,59 @@ class ManifoldCurve:
 
     def translated(self, v) -> "ManifoldCurve":
         return replace(self, vertices=self.vertices + np.asarray(v, dtype=float))
+
+    @cached_property
+    def segment_index(self) -> "_SegmentIndex":
+        """Broad-phase index over the segment midpoints, built on first use
+        and kept for the life of the curve (the vertices are never
+        modified in place)."""
+        return _SegmentIndex(self.vertices)
+
+
+class _SegmentIndex:
+    """Segment midpoints of one polyline and their longest segment length;
+    built on first use, a KD-tree of the midpoints and a grid of the cells
+    holding a midpoint, dilated by one cell.
+
+    A point within `cell` of some midpoint lies in a marked cell, so for a
+    search radius r <= cell the grid discards only points that have no
+    midpoint within r.
+    """
+
+    def __init__(self, vertices: np.ndarray):
+        self.midpoints = mid = 0.5 * (vertices[:-1] + vertices[1:])
+        self.max_len = float(np.max(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
+        self.lo = mid.min(axis=0)
+        extent = float(np.max(mid.max(axis=0) - self.lo))
+        # any positive cell keeps the pruning exact; 1.0 covers a polyline
+        # that is a single point
+        self.cell = max(2.0 * self.max_len, extent / GRID_CELLS_PER_AXIS) or 1.0
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(self.midpoints, balanced_tree=False)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        # cell coordinates start at 1, leaving a border cell for the dilation
+        idx = self._cells(self.midpoints).astype(np.intp)
+        occupied = np.zeros(idx.max(axis=0) + 2, dtype=bool)
+        occupied[idx[:, 0], idx[:, 1]] = True
+        return ndimage.maximum_filter(occupied, size=3)
+
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        return np.floor((points - self.lo) / self.cell) + 1
+
+    def near(self, points: np.ndarray, r: float) -> np.ndarray:
+        """Indices of the points that may have a midpoint within r."""
+        if r > self.cell:
+            return np.arange(len(points))
+        grid = self.grid
+        c = self._cells(points)
+        x, y = c[:, 0], c[:, 1]
+        sel = np.flatnonzero((x >= 0) & (x < grid.shape[0]) & (y >= 0) & (y < grid.shape[1]))
+        c = c[sel].astype(np.intp)
+        return sel[grid[c[:, 0], c[:, 1]]]
 
 
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:
@@ -255,33 +324,36 @@ class CrossingWitness:
     target_segment: int
 
 
-def _segment_pairs(P: np.ndarray, T: np.ndarray):
-    """Candidate (i, j) segment index pairs by midpoint proximity."""
-    mp = 0.5 * (P[:-1] + P[1:])
-    mt = 0.5 * (T[:-1] + T[1:])
-    lp = np.linalg.norm(np.diff(P, axis=0), axis=1)
-    lt = np.linalg.norm(np.diff(T, axis=0), axis=1)
-    r = 0.5 * (lp.max() + lt.max()) + 1e-12
-    tree = cKDTree(mt)
-    groups = tree.query_ball_point(mp, r)
-    pairs = [(i, j) for i, js in enumerate(groups) for j in js]
-    pairs.sort()
-    return pairs
+def _segment_pairs(piece: ManifoldCurve, target: ManifoldCurve, v: np.ndarray):
+    """Candidate (i, j) segment index pairs of piece and target + v whose
+    midpoints are within half the sum of the longest segments of each, as
+    int arrays in lexicographic order."""
+    index = target.segment_index
+    own = piece.segment_index
+    mp = own.midpoints - v
+    r = 0.5 * (own.max_len + index.max_len) + 1e-12
+    sel = index.near(mp, r)
+    groups = index.tree.query_ball_point(mp[sel], r, return_sorted=True)
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    i = np.repeat(sel, counts)
+    j = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum()))
+    return i, j
 
 
-def _proper_intersection(a, b, c, d):
-    """Intersection point of segments ab and cd when they cross strictly."""
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+def _cross(o, p, q):
+    return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0])
 
-    s1 = cross(a, b, c)
-    s2 = cross(a, b, d)
-    s3 = cross(c, d, a)
-    s4 = cross(c, d, b)
-    if s1 * s2 < 0 and s3 * s4 < 0:
-        t = s1 / (s1 - s2)
-        return np.asarray(c, dtype=float) + t * (np.asarray(d, dtype=float) - np.asarray(c, dtype=float))
-    return None
+
+def _strict_crossings(P: np.ndarray, T: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The candidate pairs whose segments P[i]P[i+1] and T[j]T[j+1] cross
+    strictly, with their intersection points."""
+    a, b, c, d = P[i], P[i + 1], T[j], T[j + 1]
+    s1 = _cross(a, b, c)
+    s2 = _cross(a, b, d)
+    hit = (s1 * s2 < 0) & (_cross(c, d, a) * _cross(c, d, b) < 0)
+    t = s1[hit] / (s1[hit] - s2[hit])
+    c, d = c[hit], d[hit]
+    return i[hit], j[hit], c + t[:, None] * (d - c)
 
 
 def _local_piece(P: np.ndarray, i: int, x0: np.ndarray, half_len: float) -> np.ndarray:
@@ -307,24 +379,34 @@ def _local_piece(P: np.ndarray, i: int, x0: np.ndarray, half_len: float) -> np.n
     return np.asarray(bwd[::-1] + fwd)
 
 
-def _side_of(x, piece: np.ndarray):
-    """Signed offset of x from the local polyline (sign by orientation)."""
-    best = None
-    for a, b in zip(piece[:-1], piece[1:]):
-        d = b - a
-        L2 = float(d @ d)
-        if L2 == 0.0:
-            continue
-        t = float(np.clip((x - a) @ d / L2, 0.0, 1.0))
-        proj = a + t * d
-        dist = float(np.linalg.norm(x - proj))
-        if best is None or dist < best[0]:
-            s = (d[0] * (x[1] - a[1]) - d[1] * (x[0] - a[0])) / np.sqrt(L2)
-            best = (dist, s)
-    return best[1]
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # stacked matmul rounds like the 1-D `a @ b` of each row, which a
+    # plain (A * B).sum(axis=1) does not
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def _walk_side(T, j_from, direction, x0, c, tang, piece, ell, w):
+def _piece_segments(piece: np.ndarray):
+    """Start points, directions and squared lengths of the nonzero-length
+    segments of a local polyline."""
+    a = piece[:-1]
+    d = piece[1:] - a
+    L2 = _row_dot(d, d)
+    keep = L2 != 0.0
+    return a[keep], d[keep], L2[keep]
+
+
+def _side_of(x, segments):
+    """Signed offset of x from the local polyline (sign by orientation),
+    taken from the nearest of its `_piece_segments`, the first on ties."""
+    a, d, L2 = segments
+    t = np.clip(_row_dot(x - a, d) / L2, 0.0, 1.0)
+    off = x - (a + t[:, None] * d)
+    k = int(np.argmin(np.sqrt(_row_dot(off, off))))
+    a, d = a[k], d[k]
+    return (d[0] * (x[1] - a[1]) - d[1] * (x[0] - a[0])) / np.sqrt(L2[k])
+
+
+def _walk_side(T, j_from, direction, c, tang, segments, ell, w):
     """Walk target polyline one way from a crossing until it exits the
     rectangle; return (side sign, exit side label) or None on tangency,
     recrossing, or a dead end inside the rectangle."""
@@ -333,7 +415,7 @@ def _walk_side(T, j_from, direction, x0, c, tang, piece, ell, w):
     while 0 <= j < len(T):
         x = T[j]
         u = float(tang @ (x - c))
-        s = _side_of(x, piece)
+        s = _side_of(x, segments)
         inside = abs(u) <= ell / 2 and abs(s) <= w / 2
         if s != 0.0:
             if sgn == 0.0:
@@ -363,26 +445,32 @@ def detect_crossings(
     along the local piece and width 2*h_max across it; the target must
     change side strictly and reach a rectangle side in both components.
     An empty list means "not found at this resolution", never "absent".
+
+    The broad phase queries target's cached segment index (see
+    `ManifoldCurve.segment_index`) at the piece's midpoints minus the
+    translate, so repeated calls on one target build it once.  The narrow
+    phase keeps the strictly crossing candidate pairs and validates them
+    in lexicographic (piece segment, target segment) order, stopping at
+    max_witnesses.
     """
     P = piece.vertices
-    T = target.vertices + np.asarray(translate, dtype=float)
+    v = np.asarray(translate, dtype=float)
+    T = target.vertices + v
     if len(P) < 2 or len(T) < 2:
         raise ValueError("both curves need at least two vertices")
     h = piece.h_max
     ell = 10.0 * h
     w = 2.0 * h
     witnesses = []
-    for i, j in _segment_pairs(P, T):
-        x0 = _proper_intersection(P[i], P[i + 1], T[j], T[j + 1])
-        if x0 is None:
-            continue
-        local = _local_piece(P, i, x0, ell / 2)
+    i_hit, j_hit, x_hit = _strict_crossings(P, T, *_segment_pairs(piece, target, v))
+    for i, j, x0 in zip(i_hit.tolist(), j_hit.tolist(), x_hit):
+        local = _piece_segments(_local_piece(P, i, x0, ell / 2))
         tang = P[i + 1] - P[i]
         tang = tang / np.linalg.norm(tang)
-        fwd = _walk_side(T, j + 1, +1, x0, x0, tang, local, ell, w)
+        fwd = _walk_side(T, j + 1, +1, x0, tang, local, ell, w)
         if fwd is None:
             continue
-        bwd = _walk_side(T, j, -1, x0, x0, tang, local, ell, w)
+        bwd = _walk_side(T, j, -1, x0, tang, local, ell, w)
         if bwd is None:
             continue
         if fwd[0] * bwd[0] >= 0:
@@ -421,7 +509,9 @@ def translate_scan(
     """Crossing search of W^u against W^s + (a, b) over an integer box.
 
     Maps (a, b) to a witness list; an empty list means "not found at the
-    current budget", which is distinct from absence.
+    current budget", which is distinct from absence.  One
+    `detect_crossings` call per translate; all of them share the stable
+    curve's segment index, so the broad phase builds it once per scan.
     """
     table = {}
     for a in range(-half_range, half_range + 1):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from torusdyn import cli, maps
@@ -144,12 +145,55 @@ def test_every_builtin_map_builds_from_config(name):
     assert build_map(cfg).name == name
 
 
-@pytest.mark.parametrize("grow", ["k = 0", "k = 2\n[grow]\nbudget = 1e-9"])
+@pytest.mark.parametrize(
+    "grow",
+    ["k = 0", "k = 2\n[grow]\nbudget = 1e-9", "k = 0.1\n[grow]\nseed_x = 0.5\nseed_y = 0.0"],
+)
 def test_numerical_abort_exits_3(tmp_path, grow):
     # k = 0: the fixed-point Newton matrix is singular; a budget below the
-    # first fundamental-domain step stops manifold growth
+    # first fundamental-domain step stops manifold growth; at k = 0.1 the
+    # seed (0.5, 0) converges to an elliptic fixed point
     code, _ = _run(tmp_path, "[run]\ncommand = grow\n[map]\nmap = standard\n" + grow + "\n")
     assert code == 3
+
+
+def test_omega_probe_narrow_drift_range(tmp_path):
+    # every drift is 500 * 0.1 up to rounding: too narrow a range for 20
+    # distinct histogram edges
+    text = """
+[map]
+map = translation
+a = 0.3
+b = 0.1
+
+[run]
+command = omega-probe
+
+[confinement]
+mode = theta
+theta = 1.0
+window = 2
+step = 0.03125
+horizon = 200
+
+[omega]
+extra = 500
+"""
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert (out / "manifest.json").is_file()
+    data = json.loads((out / "omega.json").read_text())
+    assert sum(data["drift_histogram"]["counts"]) == data["samples"]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.linspace(-1.0, 3.0, 101), np.full(7, 0.25), np.array([0.25, 0.25, 0.75])],
+)
+def test_histogram_matches_numpy_off_degenerate_ranges(values):
+    counts, edges = cli._histogram(values, 20)
+    ref_counts, ref_edges = np.histogram(values, bins=20)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(edges, ref_edges)
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -188,3 +232,18 @@ command = check-all
         assert rows[name]["detail"] == "hypothesis not met, skipped"
     assert rows["sft-two-loop"]["status"] == "pass"
     assert (out / "check_all.txt").is_file()
+
+
+def test_check_all_reports_bad_seed_point_as_inconclusive(tmp_path, monkeypatch):
+    def no_hyperbolic_point(m, cfg):
+        raise cli.SeedPointError("seed point is elliptic, not hyperbolic")
+
+    monkeypatch.setattr(cli, "_hyperbolic_seed_point", no_hyperbolic_point)
+    code, out = _run(tmp_path, "[map]\nmap = standard\nk = 2\n[run]\ncommand = check-all\n")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
+    assert rows["translate-scan"] == {
+        "check": "translate-scan",
+        "status": "inconclusive",
+        "detail": "seed point is elliptic, not hyperbolic",
+    }

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import torusdyn as td
+from torusdyn import manifolds
 from torusdyn.geometry import point_segment_distance
 from torusdyn.manifolds import (
+    CrossingWitness,
     GrowthError,
     NonHyperbolicError,
     pullback_rate_fit,
@@ -167,6 +172,237 @@ def test_scan_symmetry_between_translates():
     direct = td.detect_crossings(u, s, translate=(-1, 0))
     swapped = td.detect_crossings(u.translated((1, 0)), s, translate=(0, 0))
     assert len(direct) == len(swapped) == 1
+
+
+# The crossing search before the segment index: a KD-tree over the
+# translated target's midpoints per call, a scalar crossing test and side
+# offset per candidate pair.  The indexed search must reproduce its
+# witnesses field for field.
+
+def _ref_segment_pairs(P, T):
+    mp = 0.5 * (P[:-1] + P[1:])
+    mt = 0.5 * (T[:-1] + T[1:])
+    lp = np.linalg.norm(np.diff(P, axis=0), axis=1)
+    lt = np.linalg.norm(np.diff(T, axis=0), axis=1)
+    r = 0.5 * (lp.max() + lt.max()) + 1e-12
+    groups = cKDTree(mt).query_ball_point(mp, r)
+    return sorted((i, j) for i, js in enumerate(groups) for j in js)
+
+
+def _ref_proper_intersection(a, b, c, d):
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    s1 = cross(a, b, c)
+    s2 = cross(a, b, d)
+    s3 = cross(c, d, a)
+    s4 = cross(c, d, b)
+    if s1 * s2 < 0 and s3 * s4 < 0:
+        t = s1 / (s1 - s2)
+        return np.asarray(c, dtype=float) + t * (np.asarray(d, dtype=float) - np.asarray(c, dtype=float))
+    return None
+
+
+def _ref_side_of(x, piece):
+    best = None
+    for a, b in zip(piece[:-1], piece[1:]):
+        d = b - a
+        L2 = float(d @ d)
+        if L2 == 0.0:
+            continue
+        t = float(np.clip((x - a) @ d / L2, 0.0, 1.0))
+        proj = a + t * d
+        dist = float(np.linalg.norm(x - proj))
+        if best is None or dist < best[0]:
+            s = (d[0] * (x[1] - a[1]) - d[1] * (x[0] - a[0])) / np.sqrt(L2)
+            best = (dist, s)
+    return best[1]
+
+
+def _ref_walk_side(T, j, direction, c, tang, piece, ell, w):
+    sgn = 0.0
+    while 0 <= j < len(T):
+        x = T[j]
+        u = float(tang @ (x - c))
+        s = _ref_side_of(x, piece)
+        inside = abs(u) <= ell / 2 and abs(s) <= w / 2
+        if s != 0.0:
+            if sgn == 0.0:
+                sgn = np.sign(s)
+            elif np.sign(s) != sgn and inside:
+                return None
+        if not inside:
+            if sgn == 0.0:
+                if s == 0.0:
+                    return None
+                sgn = np.sign(s)
+            return sgn, ("end" if abs(u) > ell / 2 else "far")
+        j += direction
+    return None
+
+
+def _ref_detect_crossings(piece, target, translate=(0, 0), max_witnesses=None):
+    P = piece.vertices
+    T = target.vertices + np.asarray(translate, dtype=float)
+    ell, w = 10.0 * piece.h_max, 2.0 * piece.h_max
+    witnesses = []
+    for i, j in _ref_segment_pairs(P, T):
+        x0 = _ref_proper_intersection(P[i], P[i + 1], T[j], T[j + 1])
+        if x0 is None:
+            continue
+        local = manifolds._local_piece(P, i, x0, ell / 2)
+        tang = P[i + 1] - P[i]
+        tang = tang / np.linalg.norm(tang)
+        fwd = _ref_walk_side(T, j + 1, +1, x0, tang, local, ell, w)
+        if fwd is None:
+            continue
+        bwd = _ref_walk_side(T, j, -1, x0, tang, local, ell, w)
+        if bwd is None or fwd[0] * bwd[0] >= 0:
+            continue
+        nrm = np.array([-tang[1], tang[0]])
+        corners = np.array(
+            [
+                x0 - (ell / 2) * tang - (w / 2) * nrm,
+                x0 + (ell / 2) * tang - (w / 2) * nrm,
+                x0 + (ell / 2) * tang + (w / 2) * nrm,
+                x0 - (ell / 2) * tang + (w / 2) * nrm,
+            ]
+        )
+        left, right = (fwd, bwd) if fwd[0] > 0 else (bwd, fwd)
+        witnesses.append(
+            CrossingWitness(
+                location=x0,
+                translate=(int(translate[0]), int(translate[1])),
+                rectangle=corners,
+                sides_hit={"left": left[1], "right": right[1]},
+                piece_segment=i,
+                target_segment=j,
+            )
+        )
+        if max_witnesses is not None and len(witnesses) >= max_witnesses:
+            break
+    return witnesses
+
+
+def _assert_same_witnesses(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert np.array_equal(g.location, r.location)
+        assert np.array_equal(g.rectangle, r.rectangle)
+        assert g.translate == r.translate and g.sides_hit == r.sides_hit
+        assert (g.piece_segment, g.target_segment) == (r.piece_segment, r.target_segment)
+        assert type(g.piece_segment) is int and type(g.target_segment) is int
+
+
+@pytest.fixture(scope="module")
+def k2_pair(std_k2, fp_origin):
+    wu = td.grow_manifold(std_k2, fp_origin, "unstable", "+", arclength_budget=20.0)
+    ws = td.grow_manifold(std_k2, fp_origin, "stable", "+", arclength_budget=20.0)
+    return wu, ws
+
+
+@pytest.mark.parametrize("max_witnesses", [1, None])
+def test_translate_scan_matches_reference_on_k2_manifolds(k2_pair, max_witnesses):
+    wu, ws = k2_pair
+    table = td.translate_scan(wu, ws, 1, max_witnesses)
+    assert sorted(table) == [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    found = 0
+    for v, wits in table.items():
+        _assert_same_witnesses(wits, _ref_detect_crossings(wu, ws, v, max_witnesses))
+        found += len(wits)
+    assert found > 0
+
+
+_coord = st.one_of(
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-8, 8).map(lambda n: n / 8.0),  # lattice values make ties and touches
+)
+
+
+@st.composite
+def _polyline(draw):
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=15))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    V = np.repeat(np.asarray(pts, dtype=float), repeats, axis=0)  # zero-length segments
+    if not np.any(V != V[0]):
+        V[-1] += 0.5  # at least one segment of positive length
+    return V
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _polyline(),
+    _polyline(),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([0.01, 0.05, 0.2]),
+)
+def test_detect_crossings_matches_reference_on_random_polylines(P, T, v, max_witnesses, h):
+    piece = td.polyline_curve(P, h)
+    target = td.polyline_curve(T, h)
+    got = td.detect_crossings(piece, target, v, max_witnesses)
+    _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v, max_witnesses))
+
+
+def test_long_piece_segments_skip_grid_pruning():
+    # a three-vertex zigzag across a finely sampled sine: the search radius
+    # is far above the target's grid cell, so every midpoint goes to the tree
+    piece = td.polyline_curve([[-1.0, -0.3], [0.05, 0.35], [1.0, -0.25]], 1e-3)
+    xs = np.linspace(-1.0, 1.0, 2000)
+    target = td.polyline_curve(np.stack([xs, 0.2 * np.sin(7.0 * xs)], axis=-1), 1e-3)
+    index = target.segment_index
+    r = 0.5 * (piece.segment_index.max_len + index.max_len)
+    assert r > index.cell
+    assert np.array_equal(index.near(piece.segment_index.midpoints, r), np.arange(2))
+    for v in [(0, 0), (0, 1), (1, 0)]:
+        got = td.detect_crossings(piece, target, v)
+        _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v))
+    assert len(td.detect_crossings(piece, target)) > 0
+
+
+def test_far_translate_gives_no_candidates():
+    piece = _segment((-1, 0), (1, 0))
+    target = _segment((0, -1), (0, 1))
+    i, j = manifolds._segment_pairs(piece, target, np.array([50.0, -70.0]))
+    assert i.shape == j.shape == (0,)
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert td.detect_crossings(piece, target, (50, -70)) == []
+
+
+def test_two_vertex_target():
+    piece = _segment((-1, 0), (1, 0))
+    target = td.polyline_curve([[0.25, -1.0], [0.25, 1.0]])
+    assert len(target.segment_index.midpoints) == 1
+    for v in [(0, 0), (-1, 0), (1, 1)]:
+        got = td.detect_crossings(piece, target, v)
+        _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v))
+    (wit,) = td.detect_crossings(piece, target)
+    assert np.allclose(wit.location, [0.25, 0.0])
+    point = td.polyline_curve([[0.25, 0.0], [0.25, 0.0]])  # zero extent and length
+    assert point.segment_index.cell > 0
+    assert td.detect_crossings(piece, point) == []
+
+
+def test_segment_index_built_once_per_curve(monkeypatch):
+    built = []
+
+    def counting_tree(points, **kwargs):
+        built.append(len(points))
+        return cKDTree(points, **kwargs)
+
+    monkeypatch.setattr(manifolds, "cKDTree", counting_tree)
+    u = _segment((-0.5, 0), (0.5, 0))
+    s = _segment((0, -0.5), (0, 0.5), n=40)
+    index = s.segment_index
+    td.translate_scan(u, s, half_range=1, max_witnesses=None)
+    td.translate_scan(u, s, half_range=1, max_witnesses=None)
+    assert s.segment_index is index
+    assert built == [39]  # one tree for the target; the piece needs none
+    moved = s.translated((1, 0))
+    assert moved.segment_index is not index
+    assert np.array_equal(moved.segment_index.midpoints, 0.5 * (moved.vertices[:-1] + moved.vertices[1:]))
+    assert len(td.detect_crossings(u, moved, (-1, 0))) == 1
+    assert built == [39, 39]
 
 
 def test_closure_invariance_score_cases():
