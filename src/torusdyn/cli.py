@@ -7,9 +7,12 @@ epsilon), translation (a, b), identity (none), drift_shear (d),
 linear_saddle (lam).
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
-values carry their line number); 3 numerical abort (orbit escape,
-non-finite image, singular Newton matrix, failed manifold growth, a
-[grow] seed with no hyperbolic periodic point).
+values carry their line number; an unreadable or malformed [sft] graph, a
+cycle_cap below its vertex count, a rho outside its cycle-mean hull); 3
+numerical abort (orbit escape, non-finite image, singular Newton matrix,
+failed manifold growth, a [grow] seed with no hyperbolic periodic point,
+the simple-cycle cap exceeded, no vertex-connected cycle combination for
+rho).
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _seed_grid(n: int) -> np.ndarray:
-    return rotation.seed_grid(n, n)
-
-
 def _hull_svg(path, means, hull):
     lo = means.min(axis=0)
     hi = means.max(axis=0)
@@ -55,7 +54,7 @@ def run_rotset(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
     g = cfg.get("rotset", "grid")
     n1, n2 = cfg.get("rotset", "n1"), cfg.get("rotset", "n2")
-    poly = rotation.estimate_rotation_set(m, _seed_grid(g), (n1, n2))
+    poly = rotation.estimate_rotation_set(m, rotation.seed_grid(g, g), (n1, n2))
     write_json(
         outdir / "rotset.json",
         {
@@ -83,7 +82,7 @@ def run_vrotset(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
     g = cfg.get("vrotset", "grid")
     n1, n2 = cfg.get("vrotset", "n1"), cfg.get("vrotset", "n2")
-    iv = rotation.estimate_vertical_rotation_set(m, _seed_grid(g), (n1, n2))
+    iv = rotation.estimate_vertical_rotation_set(m, rotation.seed_grid(g, g), (n1, n2))
     write_json(
         outdir / "vrotset.json",
         {
@@ -121,7 +120,7 @@ def run_find_periodic(cfg: RunConfig, outdir: Path) -> int:
     pr = (cfg.get("periodic", "p"), cfg.get("periodic", "r"))
     g = cfg.get("periodic", "grid")
     rng = child_rng(cfg.rng_seed, "periodic-sweep")
-    seeds = _seed_grid(g) + rng.uniform(0, 1.0 / g, size=(g * g, 2))
+    seeds = rotation.seed_grid(g, g) + rng.uniform(0, 1.0 / g, size=(g * g, 2))
     orbits = periodic.sweep_periodic(m, q, pr, seeds, tol=cfg.get("periodic", "tol"))
     write_json(
         outdir / "orbits.json",
@@ -311,12 +310,18 @@ def _load_sft(cfg: RunConfig):
     path = cfg.get("sft", "graph")
     if path is None:
         return sft.two_loop_example()
-    return sft.parse_sft(Path(path).read_text())
+    try:
+        return sft.parse_sft(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError("[sft] graph: %s" % exc) from exc
 
 
 def run_sft_hull(cfg: RunConfig, outdir: Path) -> int:
     s = _load_sft(cfg)
-    hull = sft.cycle_rotation_hull(s, cfg.get("sft", "cycle_cap"))
+    try:
+        hull = sft.cycle_rotation_hull(s, cfg.get("sft", "cycle_cap"))
+    except ValueError as exc:  # cycle_cap below the vertex count
+        raise ConfigError("[sft] %s" % exc) from exc
     write_json(
         outdir / "sft_hull.json",
         {"vertices": s.n, "edges": len(s.edges), "hull": [[str(x), str(y)] for x, y in hull]},
@@ -329,7 +334,12 @@ def run_sft_orbit(cfg: RunConfig, outdir: Path) -> int:
     rho = cfg.get("sft", "rho")
     if rho is None:
         raise ConfigError("sft-orbit requires 'rho' in [sft]")
-    orbit = sft.bounded_deviation_orbit(s, rho, cfg.get("sft", "horizon"), cfg.get("sft", "cycle_cap"))
+    try:
+        orbit = sft.bounded_deviation_orbit(
+            s, rho, cfg.get("sft", "horizon"), cfg.get("sft", "cycle_cap")
+        )
+    except ValueError as exc:  # rho not strictly inside the cycle-mean hull
+        raise ConfigError("[sft] %s" % exc) from exc
     write_json(
         outdir / "sft_orbit.json",
         {
@@ -342,6 +352,13 @@ def run_sft_orbit(cfg: RunConfig, outdir: Path) -> int:
         },
     )
     return EXIT_PASS
+
+
+# check-all's omega probe: (mode, theta) per half plane, by homotopy class
+OMEGA_MODES = {
+    "dehn": (("south", None), ("north", None)),
+    "identity": (("theta", np.pi / 2),),
+}
 
 
 def check_all(cfg: RunConfig, outdir: Path) -> int:
@@ -376,7 +393,7 @@ def check_all(cfg: RunConfig, outdir: Path) -> int:
     # rotation calculus + interiority gate
     interior = False
     if m.homotopy_class == "dehn":
-        iv = rotation.estimate_vertical_rotation_set(m, _seed_grid(32), (500, 5000))
+        iv = rotation.estimate_vertical_rotation_set(m, rotation.seed_grid(32, 32), (500, 5000))
         margin = iv.margin(0.0)
         interior = margin > 1e-3
         row(
@@ -385,7 +402,7 @@ def check_all(cfg: RunConfig, outdir: Path) -> int:
             "[%r, %r], gap %.2e, zero margin %r" % (iv.lo, iv.hi, iv.hausdorff_gap, margin),
         )
     else:
-        poly = rotation.estimate_rotation_set(m, _seed_grid(32), (500, 5000))
+        poly = rotation.estimate_rotation_set(m, rotation.seed_grid(32, 32), (500, 5000))
         margin = poly.margin((0.0, 0.0))
         interior = margin > 1e-3
         row(
@@ -400,7 +417,8 @@ def check_all(cfg: RunConfig, outdir: Path) -> int:
     else:
         q = cfg.get("periodic", "q")
         pr = (cfg.get("periodic", "p"), cfg.get("periodic", "r"))
-        orbits = periodic.sweep_periodic(m, q, pr, _seed_grid(cfg.get("periodic", "grid")))
+        g = cfg.get("periodic", "grid")
+        orbits = periodic.sweep_periodic(m, q, pr, rotation.seed_grid(g, g))
         ok = all(o.residual < 1e-10 for o in orbits)
         row(
             "periodic-orbits",
@@ -422,31 +440,22 @@ def check_all(cfg: RunConfig, outdir: Path) -> int:
         except (periodic.SingularNewtonError, RuntimeError) as exc:
             row("translate-scan", "inconclusive", str(exc))
 
-        if m.homotopy_class == "dehn":
-            verdicts = []
-            for mode in ("south", "north"):
-                cloud = conf.compute_confinement(
-                    m,
-                    mode,
-                    window=((-2.0, 2.0), (-2.0, 2.0)),
-                    grid_step=1.0 / 32.0,
-                    horizon=300,
-                )
-                v, _ = conf.omega_probe(cloud, m, 2000)
-                verdicts.append((mode, v))
-            ok = all(v == "escaping" for _, v in verdicts)
-            row("omega-probe", "pass" if ok else "inconclusive", str(verdicts))
-        else:
+        verdicts = []
+        for mode, theta in OMEGA_MODES[m.homotopy_class]:
             cloud = conf.compute_confinement(
                 m,
-                "theta",
+                mode,
                 window=((-2.0, 2.0), (-2.0, 2.0)),
                 grid_step=1.0 / 32.0,
                 horizon=300,
-                theta=np.pi / 2,
+                theta=theta,
             )
             v, _ = conf.omega_probe(cloud, m, 2000)
-            row("omega-probe", "pass" if v == "escaping" else "inconclusive", v)
+            verdicts.append((mode, v))
+        ok = all(v == "escaping" for _, v in verdicts)
+        # one mode reports its bare verdict, several their (mode, verdict) list
+        detail = str(verdicts) if len(verdicts) > 1 else verdicts[0][1]
+        row("omega-probe", "pass" if ok else "inconclusive", detail)
 
         hits, n0 = mfd.mixing_probe(
             m,
@@ -523,6 +532,8 @@ def main(argv=None) -> int:
         periodic.SingularNewtonError,
         mfd.GrowthError,
         SeedPointError,
+        sft.CycleCapExceeded,
+        sft.NoCycleCombination,
     ) as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC

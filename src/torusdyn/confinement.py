@@ -72,6 +72,15 @@ def _half_plane(mode: str, theta: float | None):
     raise ValueError("mode must be one of %s" % ", ".join(MODES))
 
 
+def _boundary_flags(lab: np.ndarray, n: int) -> np.ndarray:
+    """One scan of the edge rows and columns of an `ndimage.label` array:
+    entry cid is True when component cid has a cell on the grid boundary."""
+    on_boundary = np.zeros(n + 1, dtype=bool)
+    on_boundary[lab[[0, -1], :]] = True
+    on_boundary[lab[:, [0, -1]]] = True
+    return on_boundary
+
+
 def compute_confinement(
     m: LiftedTorusMap,
     mode: str,
@@ -114,10 +123,7 @@ def compute_confinement(
     mask = np.zeros(shape, dtype=bool)
     mask.flat[flat] = True
     lab, n = ndimage.label(mask)
-    # a component is flagged when any of its cells lies on the window boundary
-    on_boundary = np.zeros(n + 1, dtype=bool)
-    on_boundary[lab[[0, -1], :]] = True
-    on_boundary[lab[:, [0, -1]]] = True
+    on_boundary = _boundary_flags(lab, n)
     return ConfinementCloud(
         mode=mode,
         theta=theta,
@@ -201,18 +207,14 @@ def complement_disk_stats(
     dist, _ = tree.query(centers)
     free = (dist > grid_step).reshape(len(xs), len(ys))
     lab, n = ndimage.label(free)
+    on_boundary = _boundary_flags(lab, n)
+    cells = ndimage.value_indices(lab, ignore_value=0)
     disks = []
     max_d = 0.0
     for cid in range(1, n + 1):
-        rows, cols = np.nonzero(lab == cid)
-        pts = np.stack([xs[rows], ys[cols]], axis=-1)
-        touches = bool(
-            np.any(rows == 0)
-            or np.any(rows == len(xs) - 1)
-            or np.any(cols == 0)
-            or np.any(cols == len(ys) - 1)
-        )
-        diam = _diameter(pts)
+        rows, cols = cells[cid]
+        touches = bool(on_boundary[cid])
+        diam = _diameter(np.stack([xs[rows], ys[cols]], axis=-1))
         disks.append((cid, diam, touches))
         if not touches:
             max_d = max(max_d, diam)

@@ -21,24 +21,29 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = pts[keep]
     if len(pts) <= 2:
         return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
+    hull = _monotone_chain(pts)
     if len(hull) == 2 and np.allclose(hull[0], hull[1]):
         hull = hull[:1]
     return np.asarray(hull)
 
 
-def _cross(o, a, b) -> float:
+def _monotone_chain(pts) -> list:
+    """Andrew's monotone chain over distinct points sorted lexicographically:
+    the hull vertices counterclockwise, collinear ones dropped.  Works on
+    float rows and on exact rational tuples alike."""
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 

@@ -37,20 +37,23 @@ class PeriodicPoint:
     def doubled(self, m: LiftedTorusMap) -> "PeriodicPoint":
         """Same point as a (2q, 2(p,r)) periodic point; used to pass from
         negative to positive eigenvalues."""
-        q2 = 2 * self.period
         pr2 = (2 * self.translation[0], 2 * self.translation[1])
-        z, J = _orbit_jacobian(m, self.point, q2)
-        res = float(np.linalg.norm(z - self.point - np.asarray(pr2, dtype=float)))
-        eig = _eigvals(J)
-        return PeriodicPoint(
-            point=self.point.copy(),
-            period=q2,
-            translation=pr2,
-            jacobian=J,
-            eigenvalues=eig,
-            classification=classify_jacobian(J),
-            residual=res,
-        )
+        return _periodic_point(m, self.point.copy(), 2 * self.period, pr2)
+
+
+def _periodic_point(m: LiftedTorusMap, z: np.ndarray, q: int, pr) -> PeriodicPoint:
+    """z as a (q, (p, r)) periodic point: orbit Jacobian, residual
+    || f^q(z) - z - (p, r) ||, eigenvalues and class."""
+    fz, J = _orbit_jacobian(m, z, q)
+    return PeriodicPoint(
+        point=z,
+        period=q,
+        translation=(int(round(pr[0])), int(round(pr[1]))),
+        jacobian=J,
+        eigenvalues=_eigvals(J),
+        classification=classify_jacobian(J),
+        residual=float(np.linalg.norm(fz - z - np.asarray(pr, dtype=float))),
+    )
 
 
 def _orbit_jacobian(m: LiftedTorusMap, z, q: int):
@@ -119,20 +122,8 @@ def newton_periodic(
             return None
         if np.linalg.norm(step) < NEWTON_STEP_TOL:
             break
-    fz, J = _orbit_jacobian(m, z, q)
-    res = float(np.linalg.norm(fz - z - pr_vec))
-    if res >= tol:
-        return None
-    eig = _eigvals(J)
-    return PeriodicPoint(
-        point=z,
-        period=q,
-        translation=(int(round(pr[0])), int(round(pr[1]))),
-        jacobian=J,
-        eigenvalues=eig,
-        classification=classify_jacobian(J),
-        residual=res,
-    )
+    pp = _periodic_point(m, z, q, pr)
+    return None if pp.residual >= tol else pp
 
 
 def _frac(x: np.ndarray) -> np.ndarray:
@@ -182,9 +173,10 @@ def sweep_periodic(
 ) -> list:
     """Newton from every seed, deduplicated to one representative per orbit.
 
-    Deduplication: point distance below DEDUP_RADIUS, integer translates of
-    the point, and cyclic shifts along the same q-orbit.  Singular seeds are
-    skipped (a fully degenerate family reports as an empty list).
+    Deduplication: distance modulo integer translates below 10 * DEDUP_RADIUS
+    (which covers plane distance below DEDUP_RADIUS), and cyclic shifts along
+    the same q-orbit.  Singular seeds are skipped (a fully degenerate family
+    reports as an empty list).
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     if len(seeds) == 0:
@@ -198,17 +190,10 @@ def sweep_periodic(
         if pp is None:
             continue
         pp = _normalize_representative(m, pp)
-        dup = False
-        for other in found:
-            if np.linalg.norm(pp.point - other.point) < DEDUP_RADIUS:
-                dup = True
-                break
-            if _mod1_distance(pp.point, other.point) < DEDUP_RADIUS * 10:
-                dup = True
-                break
-            if _same_orbit(m, other, pp):
-                dup = True
-                break
-        if not dup:
+        if not any(
+            _mod1_distance(pp.point, other.point) < DEDUP_RADIUS * 10
+            or _same_orbit(m, other, pp)
+            for other in found
+        ):
             found.append(pp)
     return found

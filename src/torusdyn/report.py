@@ -54,7 +54,7 @@ def child_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(name.encode())]))
 
 
-def write_manifest(outdir, config_echo, warnings, extra=None) -> Path:
+def write_manifest(outdir, config_echo, warnings) -> Path:
     """List every produced file with a content hash; written last."""
     outdir = Path(outdir)
     outputs = {}
@@ -63,8 +63,6 @@ def write_manifest(outdir, config_echo, warnings, extra=None) -> Path:
             continue
         outputs[p.name] = sha256_file(p)
     manifest = {"config": config_echo, "warnings": warnings, "outputs": outputs}
-    if extra:
-        manifest.update(extra)
     path = outdir / "manifest.json"
     write_json(path, manifest)
     return path

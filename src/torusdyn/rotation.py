@@ -79,6 +79,21 @@ def birkhoff_mean(m: LiftedTorusMap, z, n: int) -> np.ndarray:
     return (_advance(m, z, n) - z) / n
 
 
+def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
+    """Birkhoff means of a point or batch at n1 and n2, continuing the n1
+    iterates on to n2."""
+    n1, n2 = horizons
+    if not (0 < n1 < n2):
+        raise ValueError("horizons must satisfy 0 < n1 < n2")
+    z = np.asarray(z, dtype=float)
+    if z.size == 0:
+        raise ValueError("empty seed grid")
+    Z = _advance(m, z, n1)
+    mean1 = (Z - z) / n1
+    Z = _advance(m, Z, n2 - n1)
+    return mean1, (Z - z) / n2
+
+
 def estimate_rotation_set(
     m: LiftedTorusMap,
     seeds: np.ndarray,
@@ -87,16 +102,9 @@ def estimate_rotation_set(
     """Hull of Birkhoff means over seeds, with a two-horizon gap diagnostic."""
     if m.homotopy_class != "identity":
         raise WrongHomotopyClassError("rotation set needs an identity-class lift")
-    n1, n2 = horizons
-    if not (0 < n1 < n2):
-        raise ValueError("horizons must satisfy 0 < n1 < n2")
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    if len(seeds) == 0:
-        raise ValueError("empty seed grid")
-    Z = _advance(m, seeds, n1)
-    means1 = (Z - seeds) / n1
-    Z = _advance(m, Z, n2 - n1)
-    means2 = (Z - seeds) / n2
+    means1, means2 = _two_horizon_means(m, seeds, horizons)
+    n1, n2 = horizons
     hull1 = convex_hull(means1)
     hull2 = convex_hull(means2)
     return RotationPolygon(
@@ -116,16 +124,10 @@ def estimate_vertical_rotation_set(
     """[min, max] of vertical Birkhoff means at the larger horizon."""
     if m.homotopy_class != "dehn":
         raise WrongHomotopyClassError("vertical rotation set needs a Dehn-class lift")
-    n1, n2 = horizons
-    if not (0 < n1 < n2):
-        raise ValueError("horizons must satisfy 0 < n1 < n2")
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
-    if len(seeds) == 0:
-        raise ValueError("empty seed grid")
-    Z = _advance(m, seeds, n1)
-    v1 = (Z[:, 1] - seeds[:, 1]) / n1
-    Z = _advance(m, Z, n2 - n1)
-    v2 = (Z[:, 1] - seeds[:, 1]) / n2
+    means1, means2 = _two_horizon_means(m, seeds, horizons)
+    n1, n2 = horizons
+    v1, v2 = means1[:, 1], means2[:, 1]
     lo1, hi1 = float(v1.min()), float(v1.max())
     lo2, hi2 = float(v2.min()), float(v2.max())
     gap = max(abs(lo1 - lo2), abs(hi1 - hi2))
@@ -152,12 +154,7 @@ def rotation_vector_of_point(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n1, n2 = horizons
-    z = np.asarray(z, dtype=float)
-    Z = _advance(m, z, n1)
-    mean1 = (Z - z) / n1
-    Z = _advance(m, Z, n2 - n1)
-    mean2 = (Z - z) / n2
+    mean1, mean2 = _two_horizon_means(m, z, horizons)
     if m.homotopy_class == "dehn":
         if abs(mean1[..., 1] - mean2[..., 1]) < tol:
             return float(mean2[..., 1])

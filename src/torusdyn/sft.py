@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
+from .geometry import _cross, _monotone_chain
+
 DEFAULT_CYCLE_CAP = 10000
 
 Vec = tuple  # (Fraction, Fraction)
@@ -28,6 +30,11 @@ class CycleCapExceeded(RuntimeError):
     def __init__(self, cycles):
         super().__init__("simple-cycle cap exceeded; hull is partial")
         self.cycles = cycles
+
+
+class NoCycleCombination(RuntimeError):
+    """rho lies inside the hull, but no vertex-connected combination of at
+    most three simple cycles realizes it."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +56,6 @@ class WeightedSft:
             has_cycle = True
         if not has_cycle:
             raise ValueError("graph must contain at least one cycle")
-
-    @property
-    def adjacency(self):
-        A = [[0] * self.n for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            A[i][j] = 1
-        return A
 
     def out_edges(self, v: int):
         return [e for e, (i, _, _) in enumerate(self.edges) if i == v]
@@ -131,27 +131,12 @@ def cycle_mean(sft: WeightedSft, cycle: tuple) -> Vec:
     return (wx / len(cycle), wy / len(cycle))
 
 
-def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def rational_hull(points: list) -> list:
     """Monotone-chain hull over exact rational points, CCW, no collinear."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
+    hull = _monotone_chain(pts)
     if len(hull) < 3:  # all collinear after pruning
         return [min(pts), max(pts)]
     return hull
@@ -289,6 +274,8 @@ def bounded_deviation_orbit(
     Const = period * max edge |psi| is verified by an exact partial-sum
     scan up to ``horizon``.
     """
+    if cycle_cap < sft.n:
+        raise ValueError("cycle_cap must be at least the vertex count")
     rho = (Fraction(rho[0]), Fraction(rho[1]))
     cycles = simple_cycles(sft, cap=cycle_cap)
     means = [cycle_mean(sft, c) for c in cycles]
@@ -314,7 +301,7 @@ def bounded_deviation_orbit(
         if chosen:
             break
     if chosen is None:
-        raise ValueError("no vertex-connected cycle combination realizes rho")
+        raise NoCycleCombination("no vertex-connected cycle combination realizes rho")
 
     # integer repetitions proportional to a_i / L_i make the mean exact
     fracs = [a / len(c) for c, a in chosen]

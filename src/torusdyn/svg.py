@@ -24,26 +24,24 @@ class SvgCanvas:
         y0, y1 = self.ylim
         return self.h - self.m - (np.asarray(y) - y0) / (y1 - y0) * (self.h - 2 * self.m)
 
-    def polyline(self, pts, color="black", width=1.0, dashed=False):
+    def polyline(self, pts, color="black", width=1.0):
         pts = np.asarray(pts, dtype=float)
         xs = self._tx(pts[:, 0])
         ys = self._ty(pts[:, 1])
         d = " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
-        dash = ' stroke-dasharray="4 3"' if dashed else ""
         self.elements.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="%.2f"%s/>'
-            % (d, color, width, dash)
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="%.2f"/>'
+            % (d, color, width)
         )
 
-    def circles(self, pts, r=2.0, color="black", fill=True):
+    def circles(self, pts, r=2.0, color="black"):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         xs = self._tx(pts[:, 0])
         ys = self._ty(pts[:, 1])
-        f = color if fill else "none"
         for x, y in zip(xs, ys):
             self.elements.append(
                 '<circle cx="%.2f" cy="%.2f" r="%.2f" fill="%s" stroke="%s"/>'
-                % (x, y, r, f, color)
+                % (x, y, r, color, color)
             )
 
     def cells(self, pts, step, color="#3060c0"):
@@ -58,12 +56,6 @@ class SvgCanvas:
                 '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
                 % (x, y, sx, sy, color)
             )
-
-    def text(self, x, y, s, size=12, color="black"):
-        self.elements.append(
-            '<text x="%.2f" y="%.2f" font-size="%d" fill="%s">%s</text>'
-            % (self._tx(x), self._ty(y), size, color, s)
-        )
 
     def frame(self):
         self.elements.append(

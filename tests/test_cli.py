@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from torusdyn import cli, maps
-from torusdyn.config import ConfigError, build_map, parse_config
+from torusdyn import cli, maps, rotation
+from torusdyn.config import COMMANDS, ConfigError, build_map, parse_config
 from torusdyn.report import sha256_file
 
 # dyadic translation and grid keep every Birkhoff mean exact in binary
@@ -247,3 +248,119 @@ def test_check_all_reports_bad_seed_point_as_inconclusive(tmp_path, monkeypatch)
         "status": "inconclusive",
         "detail": "seed point is elliptic, not hyperbolic",
     }
+
+
+def test_runners_match_commands():
+    assert tuple(cli.RUNNERS) == COMMANDS
+
+
+def test_check_all_drift_shear_rows(tmp_path):
+    # drift_shear is the identity-class map the CLI reaches; its rotation set
+    # is a segment through 0, so the interiority gate stays shut
+    code, out = _run(tmp_path, "[map]\nmap = drift_shear\n[run]\ncommand = check-all\n")
+    assert code == 0
+    lines = (out / "check_all.txt").read_text().splitlines()
+    assert re.fullmatch(r"deck-equivariance-and-area +pass +deck \S+ area \S+", lines[0])
+    skipped = "skipped       hypothesis not met, skipped"
+    assert lines[1:] == [
+        "rotation-set-hull                pass          "
+        "2 hull vertices, gap 0.00e+00, zero margin -0.0",
+        "periodic-orbits                  " + skipped,
+        "translate-scan                   " + skipped,
+        "omega-probe                      " + skipped,
+        "mixing-probe                     " + skipped,
+        "sft-two-loop                     pass          hull True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "map_block, omega_row",
+    [
+        pytest.param(
+            "map = translation\na = 0.3\nb = 0.1",
+            {"status": "pass", "detail": "escaping"},
+            id="translation",
+        ),
+        pytest.param(
+            "map = drift_shear",
+            {"status": "inconclusive", "detail": "persistent"},
+            id="drift_shear",
+        ),
+    ],
+)
+def test_check_all_identity_class_omega_row(tmp_path, monkeypatch, map_block, omega_row):
+    # a square rotation set around 0 opens the gate, so the theta-mode
+    # confinement and omega probe run as they would for an interior zero
+    def square_around_zero(m, seeds, horizons):
+        hull = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        return rotation.RotationPolygon(
+            hull=hull, hull_coarse=hull, sample_means=[], horizons=horizons, hausdorff_gap=0.0
+        )
+
+    monkeypatch.setattr(rotation, "estimate_rotation_set", square_around_zero)
+    code, out = _run(tmp_path, "[map]\n%s\n[run]\ncommand = check-all\n" % map_block)
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
+    assert rows["rotation-set-hull"]["detail"] == "4 hull vertices, gap 0.00e+00, zero margin 1.0"
+    assert rows["omega-probe"] == {"check": "omega-probe", **omega_row}
+
+
+SFT_GRAPH_CASES = {
+    # vertices 0 and 1 carry disjoint cycles whose three means surround (1/4, 1/4)
+    "disconnected": "vertices 2\n0 0 1 0\n0 0 0 0\n1 1 0 1\n",
+    "bad_edge": "vertices 2\n0 5 1 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "sft_block, message",
+    [
+        pytest.param("graph = {missing}", "absent.txt", id="missing-graph"),
+        pytest.param("graph = {bad_edge}", "edge (0, 5) out of range", id="bad-edge"),
+        pytest.param("rho = 5,5", "strictly inside", id="rho-outside-hull"),
+        pytest.param(
+            "graph = {disconnected}\ncycle_cap = 1",
+            "cycle_cap must be at least the vertex count",
+            id="cap-below-vertices",
+        ),
+        pytest.param(
+            "graph = {disconnected}\nrho = 1/4,1/4\ncycle_cap = 1",
+            "cycle_cap must be at least the vertex count",
+            id="orbit-cap-below-vertices",
+        ),
+    ],
+)
+def test_sft_input_errors_exit_2(tmp_path, capsys, sft_block, message):
+    command = "sft-orbit" if "rho" in sft_block else "sft-hull"
+    code = _run_sft(tmp_path, command, sft_block)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, sft_block, message",
+    [
+        pytest.param("sft-hull", "cycle_cap = 1", "simple-cycle cap exceeded", id="cycle-cap"),
+        pytest.param(
+            "sft-orbit",
+            "graph = {disconnected}\nrho = 1/4,1/4",
+            "no vertex-connected cycle combination",
+            id="no-combination",
+        ),
+    ],
+)
+def test_sft_search_failures_exit_3(tmp_path, capsys, command, sft_block, message):
+    assert _run_sft(tmp_path, command, sft_block) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: ") and message in err
+
+
+def _run_sft(tmp_path, command, sft_block):
+    paths = {"missing": tmp_path / "absent.txt"}
+    for name, text in SFT_GRAPH_CASES.items():
+        paths[name] = tmp_path / (name + ".txt")
+        paths[name].write_text(text)
+    block = sft_block.format(**paths)
+    code, _ = _run(tmp_path, "[run]\ncommand = %s\n[sft]\n%s\n" % (command, block))
+    return code

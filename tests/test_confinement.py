@@ -144,3 +144,39 @@ def test_disk_stats_validation():
         complement_disk_stats(np.empty((0, 2)), ((0, 1), (0, 1)), 0.1)
     with pytest.raises(ValueError):
         complement_disk_stats(np.array([[0.5, 0.5]]), ((0, 0.01), (0, 0.01)), 0.1)
+
+
+def _per_component_disks(obstacle, region, grid_step):
+    """Reference disk list: one pass over the whole label grid per component."""
+    from scipy import ndimage
+    from scipy.spatial import cKDTree
+
+    from torusdyn.confinement import _diameter
+
+    (x0, x1), (y0, y1) = region
+    xs = np.arange(x0 + grid_step / 2, x1, grid_step)
+    ys = np.arange(y0 + grid_step / 2, y1, grid_step)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    dist, _ = cKDTree(obstacle).query(np.stack([X.ravel(), Y.ravel()], axis=-1))
+    lab, n = ndimage.label((dist > grid_step).reshape(len(xs), len(ys)))
+    disks = []
+    for cid in range(1, n + 1):
+        rows, cols = np.nonzero(lab == cid)
+        touches = bool(
+            np.any(rows == 0)
+            or np.any(rows == len(xs) - 1)
+            or np.any(cols == 0)
+            or np.any(cols == len(ys) - 1)
+        )
+        disks.append((cid, _diameter(np.stack([xs[rows], ys[cols]], axis=-1)), touches))
+    return disks
+
+
+@pytest.mark.parametrize("region", [((0.0, 2.0), (0.0, 2.0)), ((0.3, 1.7), (-1.0, 0.9))])
+def test_disk_stats_match_per_component_loop(fp_origin, std_k2, region):
+    wu = td.grow_manifold(std_k2, fp_origin, "unstable", "+", 60.0, 1e-3, 1e-6)
+    report = complement_disk_stats(wu.vertices, region, 0.02)
+    expect = _per_component_disks(wu.vertices, region, 0.02)
+    assert report.disks == expect
+    assert any(t for _, _, t in expect) and not all(t for _, _, t in expect)
+    assert report.max_diameter == max(d for _, d, t in expect if not t)
