@@ -46,6 +46,13 @@ def _choice(names):
     return parse
 
 
+def _positive_int(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise ValueError("must be at least 1, got %d" % value)
+    return value
+
+
 def _parse_rho(s: str):
     parts = s.split(",")
     if len(parts) != 2:
@@ -109,7 +116,7 @@ SCHEMA = {
     "sft": {
         "graph": (str, None),
         "rho": (_parse_rho, None),
-        "horizon": (int, 10000),
+        "horizon": (_positive_int, 10000),
         "cycle_cap": (int, 10000),
     },
 }

@@ -1,10 +1,12 @@
 """Subshifts of finite type with vector edge weights, in exact rationals.
 
-The rotation set of a weighted subshift is the convex hull of simple-cycle
-mean weights; any rational vector strictly inside it is realized by a
-periodic word whose partial weight sums stay within an explicit constant of
-n * rho for every n.  All arithmetic here uses Fraction, so the deviation
-bound is exact combinatorics, not floating point.
+For a strongly connected graph the rotation set of the weighted subshift is
+the convex hull of simple-cycle mean weights, and any rational vector
+strictly inside it is realized by a periodic word whose partial weight sums
+stay within an explicit constant of n * rho for every n; on other graphs the
+hull is still computed, but a point inside it may have no such word
+(NoCycleCombination).  Arithmetic is exact: the searches run on the cycle
+means times one common denominator, as Python ints.
 
 Edges are stored as a list and may be parallel (several edges between the
 same vertex pair, e.g. two self-loops on one vertex); cycles and words are
@@ -81,13 +83,17 @@ def parse_sft(text: str) -> WeightedSft:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vertices"):
         raise ValueError("first line must be 'vertices N'")
-    n = int(lines[0].split()[1])
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError("edge lines must be 'i j wx wy': %r" % ln)
-        rows.append((int(parts[0]), int(parts[1]), Fraction(parts[2]), Fraction(parts[3])))
+    ln = lines[0]  # the line being parsed, named by the error
+    try:
+        n = int(ln.split()[1])
+        rows = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 4:
+                raise ValueError
+            rows.append((int(parts[0]), int(parts[1]), Fraction(parts[2]), Fraction(parts[3])))
+    except (IndexError, ValueError, ZeroDivisionError):
+        raise ValueError("malformed line %r: want 'vertices N', then 'i j wx wy'" % ln) from None
     return make_sft(n, rows)
 
 
@@ -131,6 +137,26 @@ def cycle_mean(sft: WeightedSft, cycle: tuple) -> Vec:
     return (wx / len(cycle), wy / len(cycle))
 
 
+def _scaled_weights(sft: WeightedSft, rho=()) -> tuple:
+    """(D, w) with D the lcm of the edge-weight and rho denominators and
+    w[e] the integer pair D * weight of edge e."""
+    fracs = [f for _, _, w in sft.edges for f in w] + list(rho)
+    D = reduce(math.lcm, [f.denominator for f in fracs], 1)
+    return D, [(int(wx * D), int(wy * D)) for _, _, (wx, wy) in sft.edges]
+
+
+def _mean_lattice(sft: WeightedSft, cycles: list, rho=()) -> tuple:
+    """(S, points) with points[i] == S * cycle_mean(sft, cycles[i]) as a
+    pair of Python ints (S is unbounded); S * rho is integral too."""
+    D, w = _scaled_weights(sft, rho)
+    M = reduce(math.lcm, {len(c) for c in cycles}, 1)
+    points = []
+    for c in cycles:
+        k = M // len(c)
+        points.append((k * sum(w[e][0] for e in c), k * sum(w[e][1] for e in c)))
+    return D * M, points
+
+
 def rational_hull(points: list) -> list:
     """Monotone-chain hull over exact rational points, CCW, no collinear."""
     pts = sorted(set(points))
@@ -146,8 +172,8 @@ def cycle_rotation_hull(sft: WeightedSft, cycle_cap: int = DEFAULT_CYCLE_CAP) ->
     """Convex hull of simple-cycle mean weights, exact."""
     if cycle_cap < sft.n:
         raise ValueError("cycle_cap must be at least the vertex count")
-    cycles = simple_cycles(sft, cap=cycle_cap)
-    return rational_hull([cycle_mean(sft, c) for c in cycles])
+    S, points = _mean_lattice(sft, simple_cycles(sft, cap=cycle_cap))
+    return [(Fraction(x, S), Fraction(y, S)) for x, y in rational_hull(points)]
 
 
 def point_in_hull_interior(rho, hull: list) -> bool:
@@ -195,7 +221,7 @@ def _max_weight_norm_sq(sft: WeightedSft) -> Fraction:
 
 def _solve_combination(means: list, rho: Vec):
     """Exact nonnegative coefficients summing to 1 with sum a_i m_i = rho,
-    for 1, 2 or 3 means; None when infeasible."""
+    for 1, 2 or 3 lattice points (ratios of crosses: the scale cancels)."""
     if len(means) == 1:
         return [Fraction(1)] if means[0] == rho else None
     if len(means) == 2:
@@ -204,22 +230,19 @@ def _solve_combination(means: list, rho: Vec):
             return None
         d = (b[0] - a[0], b[1] - a[1])
         den = d[0] * d[0] + d[1] * d[1]
-        if den == 0:
+        num = (rho[0] - a[0]) * d[0] + (rho[1] - a[1]) * d[1]
+        if den == 0 or not (0 <= num <= den):
             return None
-        t = ((rho[0] - a[0]) * d[0] + (rho[1] - a[1]) * d[1]) / den
-        if not (0 <= t <= 1):
-            return None
+        t = Fraction(num, den)
         return [1 - t, t]
     a, b, c = means
     det = _cross(a, b, c)
     if det == 0:
         return None
-    wa = _cross(rho, b, c) / det
-    wb = _cross(a, rho, c) / det
-    wc = _cross(a, b, rho) / det
-    if wa < 0 or wb < 0 or wc < 0:
+    crosses = (_cross(rho, b, c), _cross(a, rho, c), _cross(a, b, rho))
+    if any(x * det < 0 for x in crosses):
         return None
-    return [wa, wb, wc]
+    return [Fraction(x, det) for x in crosses]
 
 
 def _cycles_vertex_connected(vertex_sets: list) -> bool:
@@ -278,15 +301,15 @@ def bounded_deviation_orbit(
         raise ValueError("cycle_cap must be at least the vertex count")
     rho = (Fraction(rho[0]), Fraction(rho[1]))
     cycles = simple_cycles(sft, cap=cycle_cap)
-    means = [cycle_mean(sft, c) for c in cycles]
-    hull = rational_hull(means)
-    if not point_in_hull_interior(rho, hull):
+    S, points = _mean_lattice(sft, cycles, rho)
+    rho_s = (int(rho[0] * S), int(rho[1] * S))
+    if not point_in_hull_interior(rho_s, rational_hull(points)):
         raise ValueError("rho must lie strictly inside the cycle-mean hull")
 
     chosen = None
     for r in (1, 2, 3):
         for combo in combinations(range(len(cycles)), r):
-            coeffs = _solve_combination([means[i] for i in combo], rho)
+            coeffs = _solve_combination([points[i] for i in combo], rho_s)
             if coeffs is None:
                 continue
             active = [
@@ -341,27 +364,26 @@ def verify_deviation(orbit: BoundedDeviationOrbit, n_max: int) -> Fraction:
 
     Because the word's full-period sum equals period * rho exactly, the
     deviation sequence is periodic; the scan stops after two full periods,
-    where the running max has provably plateaued.
+    where the running max has provably plateaued.  Sums are scaled to ints.
     """
-    sft = orbit.sft
     word = orbit.word
     rho = orbit.target
+    D, weights = _scaled_weights(orbit.sft, rho)
+    rx, ry = int(rho[0] * D), int(rho[1] * D)
     L = len(word)
-    sx = Fraction(0)
-    sy = Fraction(0)
-    max_sq = Fraction(0)
+    sx = sy = max_sq = 0
     for n in range(1, n_max + 1):
-        w = sft.edges[word[(n - 1) % L]][2]
+        w = weights[word[(n - 1) % L]]
         sx += w[0]
         sy += w[1]
-        dx = sx - n * rho[0]
-        dy = sy - n * rho[1]
+        dx = sx - n * rx
+        dy = sy - n * ry
         sq = dx * dx + dy * dy
         if sq > max_sq:
             max_sq = sq
         if n % L == 0 and n >= 2 * L:
             break
-    return max_sq
+    return Fraction(max_sq, D * D)
 
 
 def max_deviation(orbit: BoundedDeviationOrbit, n_max: int) -> float:

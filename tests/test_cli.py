@@ -309,6 +309,8 @@ SFT_GRAPH_CASES = {
     # vertices 0 and 1 carry disjoint cycles whose three means surround (1/4, 1/4)
     "disconnected": "vertices 2\n0 0 1 0\n0 0 0 0\n1 1 0 1\n",
     "bad_edge": "vertices 2\n0 5 1 0\n",
+    "no_count": "vertices\n0 0 1 0\n",
+    "zero_denominator": "vertices 1\n0 0 1/0 0\n",
 }
 
 
@@ -317,6 +319,12 @@ SFT_GRAPH_CASES = {
     [
         pytest.param("graph = {missing}", "absent.txt", id="missing-graph"),
         pytest.param("graph = {bad_edge}", "edge (0, 5) out of range", id="bad-edge"),
+        pytest.param("graph = {no_count}", "[sft] graph: malformed line 'vertices'", id="no-count"),
+        pytest.param(
+            "graph = {zero_denominator}",
+            "[sft] graph: malformed line '0 0 1/0 0'",
+            id="zero-denominator",
+        ),
         pytest.param("rho = 5,5", "strictly inside", id="rho-outside-hull"),
         pytest.param(
             "graph = {disconnected}\ncycle_cap = 1",
@@ -354,6 +362,16 @@ def test_sft_search_failures_exit_3(tmp_path, capsys, command, sft_block, messag
     assert _run_sft(tmp_path, command, sft_block) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: ") and message in err
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_sft_horizon_below_one_exits_2(tmp_path, capsys, horizon):
+    text = "[run]\ncommand = sft-orbit\n[sft]\nrho = 1/2,1/2\nhorizon = %s\n" % horizon
+    code, out = _run(tmp_path, text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and "sft.horizon" in err and "at least 1" in err
+    assert not out.exists()
 
 
 def _run_sft(tmp_path, command, sft_block):

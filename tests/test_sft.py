@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusdyn import sft
+from torusdyn.geometry import _cross
 from torusdyn.sft import (
     CycleCapExceeded,
+    NoCycleCombination,
     bounded_deviation_orbit,
     cycle_mean,
     cycle_rotation_hull,
@@ -15,6 +19,7 @@ from torusdyn.sft import (
     max_deviation,
     parse_sft,
     point_in_hull_interior,
+    rational_hull,
     simple_cycles,
     two_loop_example,
     verify_deviation,
@@ -181,3 +186,129 @@ def test_cycle_mean_values():
     t = triangle_sft()
     assert cycle_mean(t, (0,)) == (F(1), F(0))
     assert cycle_mean(t, (2, 3)) == (F(0), F(0))
+
+
+# -- reference: the Fraction hull and search that the integer lattice replaced --
+
+
+def _ref_hull(s):
+    return rational_hull([cycle_mean(s, c) for c in simple_cycles(s)])
+
+
+def _ref_solve(means, rho):
+    if len(means) == 1:
+        return [F(1)] if means[0] == rho else None
+    if len(means) == 2:
+        a, b = means
+        if _cross(a, b, rho) != 0:
+            return None
+        d = (b[0] - a[0], b[1] - a[1])
+        den = d[0] * d[0] + d[1] * d[1]
+        if den == 0:
+            return None
+        t = ((rho[0] - a[0]) * d[0] + (rho[1] - a[1]) * d[1]) / den
+        return [1 - t, t] if 0 <= t <= 1 else None
+    a, b, c = means
+    det = _cross(a, b, c)
+    if det == 0:
+        return None
+    ws = [_cross(rho, b, c) / det, _cross(a, rho, c) / det, _cross(a, b, rho) / det]
+    return None if min(ws) < 0 else ws
+
+
+def _ref_max_deviation_sq(s, word, rho, n_max):
+    sx = sy = max_sq = F(0)
+    for n in range(1, n_max + 1):
+        w = s.edges[word[(n - 1) % len(word)]][2]
+        sx += w[0]
+        sy += w[1]
+        sq = (sx - n * rho[0]) ** 2 + (sy - n * rho[1]) ** 2
+        max_sq = max(max_sq, sq)
+        if n % len(word) == 0 and n >= 2 * len(word):
+            break
+    return max_sq
+
+
+def _ref_combination(s, cycles, means, rho):
+    for r in (1, 2, 3):
+        for combo in combinations(range(len(cycles)), r):
+            coeffs = _ref_solve([means[i] for i in combo], rho)
+            if coeffs is None:
+                continue
+            active = [(cycles[i], a) for i, a in zip(combo, coeffs) if a > 0]
+            if sft._cycles_vertex_connected([set(sft.cycle_vertices(s, c)) for c, _ in active]):
+                return active
+    raise NoCycleCombination("no vertex-connected cycle combination realizes rho")
+
+
+def _ref_orbit(s, rho, horizon):
+    """(word, max_deviation_sq, deviation_bound, deviation_bound_sq)."""
+    cycles = simple_cycles(s)
+    means = [cycle_mean(s, c) for c in cycles]
+    if not point_in_hull_interior(rho, rational_hull(means)):
+        raise ValueError("rho must lie strictly inside the cycle-mean hull")
+    active = _ref_combination(s, cycles, means, rho)
+    fracs = [a / len(c) for c, a in active]
+    denom = math.lcm(*[f.denominator for f in fracs])
+    word = sft._splice(s, [(c, int(f * denom)) for (c, _), f in zip(active, fracs) if f > 0])
+    norm_sq = sft._max_weight_norm_sq(s)
+    L = len(word)
+    return word, _ref_max_deviation_sq(s, word, rho, horizon), L * math.sqrt(float(norm_sq)), L * L * norm_sq
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NoCycleCombination) as exc:
+        return type(exc), str(exc)
+
+
+def _orbit_fields(s, rho, horizon):
+    o = bounded_deviation_orbit(s, rho, horizon)
+    return o.word, o.max_deviation_sq, o.deviation_bound, o.deviation_bound_sq
+
+
+def _assert_matches_reference(s, rho, horizon):
+    assert cycle_rotation_hull(s) == _ref_hull(s)
+    assert _outcome(_orbit_fields, s, rho, horizon) == _outcome(_ref_orbit, s, rho, horizon)
+
+
+_weight = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def _multigraph_and_rho(draw):
+    """A random multigraph on at most 4 vertices (parallel edges, self-loops,
+    mixed denominators) around one closed walk, and a convex combination of
+    1-3 of its cycle means."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    ring = draw(st.lists(vertex, min_size=1, max_size=4))
+    edges = [(v, ring[(k + 1) % len(ring)], draw(_weight), draw(_weight)) for k, v in enumerate(ring)]
+    edges += draw(st.lists(st.tuples(vertex, vertex, _weight, _weight), max_size=6))
+    edges = draw(st.permutations(edges))
+    s = make_sft(n, edges)
+    means = [cycle_mean(s, c) for c in simple_cycles(s)]
+    picks = draw(st.lists(st.tuples(st.sampled_from(means), st.integers(1, 5)), min_size=1, max_size=3))
+    total = sum(k for _, k in picks)
+    rho = tuple(sum(k * m[i] for m, k in picks) / total for i in (0, 1))
+    return s, rho
+
+
+@given(_multigraph_and_rho(), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_lattice_search_matches_fraction_reference(case, horizon):
+    s, rho = case
+    _assert_matches_reference(s, rho, horizon)
+
+
+def test_lattice_scale_beyond_int64():
+    # three self-loops with pairwise coprime denominators near 2**40: the
+    # common denominator S is about 2**122, so any int64 lattice would wrap
+    p, q, r = 2**40 + 1, 2**40 + 3, 2**40 + 5
+    s = make_sft(1, [(0, 0, F(1, p), 0), (0, 0, 0, F(1, q)), (0, 0, F(-1, r), F(-1, r))])
+    rho = ((F(1, p) - F(1, r)) / 3, (F(1, q) - F(1, r)) / 3)  # the centroid
+    S, _ = sft._mean_lattice(s, simple_cycles(s), rho)
+    assert S > 2**63
+    _assert_matches_reference(s, rho, 100)
+    assert sorted(bounded_deviation_orbit(s, rho, 100).word) == [0, 1, 2]
