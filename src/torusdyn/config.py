@@ -1,11 +1,13 @@
 """Run configuration: `[section]` headers with `key = value` lines.
 
-Unknown keys are rejected with their line number; duplicate keys follow a
+Unknown keys and bad values, among them a size, count or tolerance that is
+not positive, are rejected with their line number; duplicate keys follow a
 last-wins policy and are recorded as warnings for the run manifest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,6 +55,20 @@ def _positive_int(s: str) -> int:
     return value
 
 
+def _nonnegative_int(s: str) -> int:
+    value = int(s)
+    if value < 0:
+        raise ValueError("must be at least 0, got %d" % value)
+    return value
+
+
+def _positive_float(s: str) -> float:
+    value = float(s)
+    if not 0.0 < value < math.inf:
+        raise ValueError("must be positive and finite, got %r" % value)
+    return value
+
+
 def _parse_rho(s: str):
     parts = s.split(",")
     if len(parts) != 2:
@@ -76,42 +92,53 @@ SCHEMA = {
         "rng_seed": (int, 0),
         "out": (str, None),
     },
-    "rotset": {"grid": (int, 64), "n1": (int, 1000), "n2": (int, 10000)},
-    "vrotset": {"grid": (int, 64), "n1": (int, 1000), "n2": (int, 10000)},
+    "rotset": {
+        "grid": (_positive_int, 64),
+        "n1": (_positive_int, 1000),
+        "n2": (_positive_int, 10000),
+    },
+    "vrotset": {
+        "grid": (_positive_int, 64),
+        "n1": (_positive_int, 1000),
+        "n2": (_positive_int, 10000),
+    },
     "periodic": {
-        "q": (int, 1),
+        "q": (_positive_int, 1),
         "p": (int, 0),
         "r": (int, 0),
-        "grid": (int, 16),
-        "tol": (float, 1e-10),
+        "grid": (_positive_int, 16),
+        "tol": (_positive_float, 1e-10),
     },
     "grow": {
-        "q": (int, 1),
+        "q": (_positive_int, 1),
         "p": (int, 0),
         "r": (int, 0),
         "seed_x": (float, 0.1),
         "seed_y": (float, 0.1),
-        "budget": (float, 200.0),
-        "h_max": (float, 1e-3),
-        "delta": (float, 1e-6),
+        "budget": (_positive_float, 200.0),
+        "h_max": (_positive_float, 1e-3),
+        "delta": (_positive_float, 1e-6),
     },
-    "translates": {"range": (int, 1), "max_witnesses": (int, 1)},
+    "translates": {
+        "range": (_nonnegative_int, 1),
+        "max_witnesses": (_positive_int, 1),
+    },
     "confinement": {
         "mode": (_choice(MODES), "south"),
         "theta": (float, 0.0),
-        "window": (float, 4.0),
-        "step": (float, 1.0 / 128.0),
-        "horizon": (int, 1000),
+        "window": (_positive_float, 4.0),
+        "step": (_positive_float, 1.0 / 128.0),
+        "horizon": (_positive_int, 1000),
     },
-    "omega": {"extra": (int, 10000)},
-    "disks": {"region": (float, 2.0), "step": (float, 0.02)},
+    "omega": {"extra": (_positive_int, 10000)},
+    "disks": {"region": (_positive_float, 2.0), "step": (_positive_float, 0.02)},
     "mixing": {
         "ux": (float, 0.25),
         "uy": (float, 0.25),
         "vx": (float, 0.75),
         "vy": (float, 0.75),
-        "radius": (float, 0.2),
-        "n_max": (int, 200),
+        "radius": (_positive_float, 0.2),
+        "n_max": (_positive_int, 200),
     },
     "sft": {
         "graph": (str, None),

@@ -5,6 +5,10 @@ A confinement cloud collects the grid points of a window whose first
 mode <f^n(z), (cos t, sin t)> >= 0, in south (north) mode the vertical
 coordinate of f^n(z) stays <= 0 (>= 0).  Components touching the window
 boundary are the finite proxy for unbounded components.
+
+South and north clouds of a lift are computed on one grid column per class
+of x mod 1 and copied to the other columns of the class, so they are
+exactly 1-periodic in x.  Theta mode and non-lift maps iterate every column.
 """
 
 from __future__ import annotations
@@ -106,11 +110,17 @@ def compute_confinement(
     ys = np.arange(y0, y1 + grid_step / 2, grid_step)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("empty grid")
-    shape = (len(xs), len(ys))
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+
+    # a lift moves z + (1, 0) to f(z) + (1, 0), so south/north survival
+    # depends on x only through x mod 1, which floating point gets exactly;
+    # iterate one column per class
+    key = xs - np.floor(xs) if mode != "theta" and m.is_lift else xs
+    reps, col = np.unique(key, return_inverse=True)
+    X, Y = np.meshgrid(reps, ys, indexing="ij")
     grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
-    # survivors are carried as flat grid indices next to their iterates
+    # survivors are carried as flat indices of the class grid next to their
+    # iterates
     flat = np.flatnonzero(ok(grid))
     Z = grid[flat]
     for _ in range(horizon):
@@ -120,21 +130,23 @@ def compute_confinement(
         alive = ok(Z)
         flat, Z = flat[alive], Z[alive]
 
-    mask = np.zeros(shape, dtype=bool)
-    mask.flat[flat] = True
+    rep_mask = np.zeros(X.shape, dtype=bool)
+    rep_mask.flat[flat] = True
+    mask = rep_mask[col]
     lab, n = ndimage.label(mask)
     on_boundary = _boundary_flags(lab, n)
+    index = np.argwhere(mask)
     return ConfinementCloud(
         mode=mode,
         theta=theta,
         horizon=horizon,
         window=window,
         grid_step=grid_step,
-        points=grid[flat],
-        labels=lab.flat[flat],
+        points=np.stack([xs[index[:, 0]], ys[index[:, 1]]], axis=-1),
+        labels=lab[mask],
         unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
-        grid_shape=shape,
-        index=np.stack(np.unravel_index(flat, shape), axis=-1),
+        grid_shape=mask.shape,
+        index=index,
     )
 
 

@@ -295,8 +295,10 @@ def bounded_deviation_orbit(
     repetition counts are cleared of denominators, and the cycles are
     spliced at shared vertices into a single closed walk.  The bound
     Const = period * max edge |psi| is verified by an exact partial-sum
-    scan up to ``horizon``.
+    scan up to ``horizon``, which must be at least 1.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if cycle_cap < sft.n:
         raise ValueError("cycle_cap must be at least the vertex count")
     rho = (Fraction(rho[0]), Fraction(rho[1]))

@@ -132,6 +132,53 @@ def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("confinement", "confinement", "horizon", "0"),
+        ("confinement", "confinement", "step", "0"),
+        ("confinement", "confinement", "step", "-0.01"),
+        ("confinement", "confinement", "window", "-1"),
+        ("omega-probe", "omega", "extra", "0"),
+        ("rotset", "rotset", "grid", "0"),
+        ("rotset", "rotset", "n1", "-1"),
+        ("vrotset", "vrotset", "grid", "-2"),
+        ("vrotset", "vrotset", "n1", "0"),
+        ("find-periodic", "periodic", "q", "0"),
+        ("find-periodic", "periodic", "grid", "0"),
+        ("grow", "grow", "budget", "0"),
+        ("grow", "grow", "h_max", "-1e-3"),
+        ("disks", "disks", "step", "0"),
+        ("mixing", "mixing", "radius", "0"),
+        ("mixing", "mixing", "radius", "nan"),
+        ("scan-translates", "translates", "range", "-1"),
+        # sizes, counts and tolerances the library rejects after the parse
+        ("vrotset", "vrotset", "n2", "0"),
+        ("find-periodic", "periodic", "tol", "0"),
+        ("grow", "grow", "q", "0"),
+        ("grow", "grow", "delta", "0"),
+        ("grow", "grow", "budget", "inf"),
+        ("disks", "disks", "region", "0"),
+        ("mixing", "mixing", "n_max", "0"),
+        ("scan-translates", "translates", "max_witnesses", "0"),
+    ],
+)
+def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, value):
+    text = "[map]\nmap = standard\n[run]\ncommand = %s\n[%s]\n%s = %s\n"
+    code, out = _run(tmp_path, text % (command, section, key, value))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 6" in err and "%s.%s" % (section, key) in err
+    assert not out.exists()
+
+
+def test_translate_range_zero_is_accepted():
+    cfg = parse_config(
+        "[map]\nmap = standard\n[run]\ncommand = scan-translates\n[translates]\nrange = 0\n"
+    )
+    assert cfg.get("translates", "range") == 0
+
+
 def test_threads_flag_is_a_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL_ROTSET)

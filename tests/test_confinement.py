@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import torusdyn as td
-from torusdyn.confinement import complement_disk_stats, compute_confinement, omega_probe
-from torusdyn.maps import reflect_vertical
+from torusdyn.confinement import (
+    ConfinementCloud,
+    _boundary_flags,
+    _half_plane,
+    complement_disk_stats,
+    compute_confinement,
+    omega_probe,
+)
+from torusdyn.maps import LiftedTorusMap, reflect_vertical
 
 SMALL = dict(window=((-1.0, 1.0), (-1.0, 1.0)), grid_step=1.0 / 16.0)
 
@@ -92,6 +102,121 @@ def test_south_equals_north_of_reflected_map():
     north = compute_confinement(reflect_vertical(m), "north", horizon=30, **SMALL)
     reflected = {(x, -y) for x, y in _point_set(north)}
     assert reflected == _point_set(south)
+
+
+def _axes(window, grid_step):
+    (x0, x1), (y0, y1) = window
+    return (
+        np.arange(x0, x1 + grid_step / 2, grid_step),
+        np.arange(y0, y1 + grid_step / 2, grid_step),
+    )
+
+
+def _all_columns_mask(m, mode, xs, ys, horizon, theta=None):
+    """Reference survivor mask: every grid column iterated at its own x."""
+    _, ok = _half_plane(mode, theta)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    flat = np.flatnonzero(ok(grid))
+    Z = grid[flat]
+    for _ in range(horizon):
+        if len(Z) == 0:
+            break
+        Z = m.forward(Z)
+        alive = ok(Z)
+        flat, Z = flat[alive], Z[alive]
+    mask = np.zeros(X.shape, dtype=bool)
+    mask.flat[flat] = True
+    return mask
+
+
+def _cloud_from_mask(mask, xs, ys, mode, window, grid_step, horizon, theta=None):
+    """Reference cloud fields of a survivor mask, built from the full grid."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    flat = np.flatnonzero(mask)
+    lab, n = ndimage.label(mask)
+    on_boundary = _boundary_flags(lab, n)
+    return ConfinementCloud(
+        mode=mode,
+        theta=theta,
+        horizon=horizon,
+        window=window,
+        grid_step=grid_step,
+        points=grid[flat],
+        labels=lab.flat[flat],
+        unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
+        grid_shape=mask.shape,
+        index=np.stack(np.unravel_index(flat, mask.shape), axis=-1),
+    )
+
+
+def _reference_cloud(m, mode, window, grid_step, horizon, theta=None):
+    xs, ys = _axes(window, grid_step)
+    mask = _all_columns_mask(m, mode, xs, ys, horizon, theta)
+    return _cloud_from_mask(mask, xs, ys, mode, window, grid_step, horizon, theta)
+
+
+def _assert_same_cloud(got, want):
+    for f in dataclasses.fields(ConfinementCloud):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+DECK = dict(window=((-2.0, 2.0), (-2.0, 1.5)), grid_step=1.0 / 16.0, horizon=60)
+
+
+@pytest.mark.parametrize("mode", ["south", "north"])
+@pytest.mark.parametrize("k, epsilon", [(2.0, 0.0), (0.3, 0.01)])
+def test_lift_cloud_is_unit_strip_copied_to_deck_columns(mode, k, epsilon):
+    m = td.make_standard_map(k, epsilon)
+    xs, ys = _axes(DECK["window"], DECK["grid_step"])
+    in_strip = (xs >= 0.0) & (xs < 1.0)
+    strip_mask = _all_columns_mask(m, mode, xs[in_strip], ys, DECK["horizon"])
+    # each column takes the strip column with the same x mod 1
+    j = np.searchsorted(xs[in_strip], xs - np.floor(xs))
+    np.testing.assert_array_equal(xs[in_strip][j], xs - np.floor(xs))
+    want = _cloud_from_mask(strip_mask[j], xs, ys, mode, **DECK)
+    got = compute_confinement(m, mode, **DECK)
+    _assert_same_cloud(got, want)
+    assert got.n_components > 0 and len(got.points) < len(xs) * len(ys) // 2
+
+
+def test_theta_mode_matches_all_columns_reference():
+    # theta = pi/2 asks for y >= 0, the north predicate, yet theta mode keys
+    # every column by itself
+    m = td.make_standard_map(2.0)
+    kw = dict(DECK, theta=np.pi / 2)
+    _assert_same_cloud(
+        compute_confinement(m, "theta", **kw), _reference_cloud(m, "theta", **kw)
+    )
+
+
+def test_grid_without_shared_classes_matches_all_columns_reference():
+    m = td.make_standard_map(2.0)
+    kw = dict(DECK, window=((0.0, 0.9), (-2.0, 1.5)))
+    _assert_same_cloud(
+        compute_confinement(m, "south", **kw), _reference_cloud(m, "south", **kw)
+    )
+
+
+def test_non_lift_cloud_is_not_deduplicated():
+    # the vertical step grows with x, so deck-equivalent columns differ
+    def fwd(z):
+        z = np.asarray(z, dtype=float)
+        return np.stack([z[..., 0], z[..., 1] + 0.05 * z[..., 0]], axis=-1)
+
+    m = LiftedTorusMap(name="x_drift", forward=fwd, is_lift=False)
+    kw = dict(DECK, horizon=20)
+    want = _reference_cloud(m, "south", **kw)
+    _assert_same_cloud(compute_confinement(m, "south", **kw), want)
+    mask = np.zeros(want.grid_shape, dtype=bool)
+    mask[tuple(want.index.T)] = True
+    assert not np.array_equal(mask[32:48], mask[48:64])  # x in [0, 1) vs [1, 2)
 
 
 def test_omega_probe_k0_persistent():

@@ -135,6 +135,13 @@ def test_boundary_rho_rejected():
             bounded_deviation_orbit(s, rho, 100)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_rejected(horizon):
+    # a zero horizon would report a verification that never ran
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        bounded_deviation_orbit(two_loop_example(), (F(1, 2), F(1, 2)), horizon)
+
+
 def test_verify_deviation_plateaus_after_two_periods():
     orbit = bounded_deviation_orbit(two_loop_example(), (F(1, 3), F(2, 3)), 10000)
     L = orbit.period
