@@ -7,8 +7,9 @@ epsilon), translation (a, b), identity (none), drift_shear (d),
 linear_saddle (lam).
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
-values carry their line number; an unreadable or malformed [sft] graph, a
-cycle_cap below its vertex count, a rho outside its cycle-mean hull); 3
+values carry their line number; a map of the wrong homotopy class for
+rotset or vrotset; an unreadable or malformed [sft] graph, a cycle_cap
+below its vertex count, a rho outside its cycle-mean hull); 3
 numerical abort (orbit escape, non-finite image, singular Newton matrix,
 failed manifold growth, a [grow] seed with no hyperbolic periodic point,
 the simple-cycle cap exceeded, no vertex-connected cycle combination for
@@ -262,15 +263,16 @@ def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
     cloud = _make_cloud(m, cfg)
     verdict, drifts = conf.omega_probe(cloud, m, cfg.get("omega", "extra"))
-    counts, edges = _histogram(drifts, 20)
+    # no sample survived: null range, empty histogram
+    counts, edges = _histogram(drifts, 20) if len(drifts) else ([], [])
     write_json(
         outdir / "omega.json",
         {
             "mode": cloud.mode,
             "verdict": verdict,
             "samples": len(drifts),
-            "drift_min": float(drifts.min()),
-            "drift_max": float(drifts.max()),
+            "drift_min": float(drifts.min()) if len(drifts) else None,
+            "drift_max": float(drifts.max()) if len(drifts) else None,
             "drift_histogram": {"counts": counts, "edges": edges},
         },
     )
@@ -523,7 +525,7 @@ def main(argv=None) -> int:
 
     try:
         status = RUNNERS[cfg.command](cfg, outdir)
-    except ConfigError as exc:
+    except (ConfigError, rotation.WrongHomotopyClassError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (

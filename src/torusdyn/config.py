@@ -1,8 +1,9 @@
 """Run configuration: `[section]` headers with `key = value` lines.
 
 Unknown keys and bad values, among them a size, count or tolerance that is
-not positive, are rejected with their line number; duplicate keys follow a
-last-wins policy and are recorded as warnings for the run manifest.
+not positive and rotation horizons with n1 >= n2, are rejected with their
+line number; duplicate keys follow a last-wins policy and are recorded as
+warnings for the run manifest.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
     numbers."""
     values = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in SCHEMA.items()}
     warnings: list[str] = []
-    seen: set = set()
+    seen: dict = {}  # (section, key) -> line of its last value
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,7 +202,7 @@ def parse_config(text: str) -> RunConfig:
             warnings.append(
                 "line %d: duplicate key %r in [%s]; last value wins" % (lineno, key, section)
             )
-        seen.add((section, key))
+        seen[section, key] = lineno
         parser = SCHEMA[section][key][0]
         try:
             values[section][key] = parser(val)
@@ -209,6 +210,15 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 "bad value for %s.%s: %s" % (section, key, exc), lineno
             ) from exc
+    for section in ("rotset", "vrotset"):
+        n1, n2 = values[section]["n1"], values[section]["n2"]
+        if n1 >= n2:
+            line = max(seen.get((section, "n1"), 0), seen.get((section, "n2"), 0))
+            raise ConfigError(
+                "bad value for %s.n1/n2: horizons must satisfy n1 < n2, got %d and %d"
+                % (section, n1, n2),
+                line,
+            )
     if ("run", "command") not in seen:
         raise ConfigError("missing required key 'command' in [run]")
     if ("map", "map") not in seen and values["run"]["command"] not in (

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
+from .geometry import CellIndex, convex_hull
 from .maps import LiftedTorusMap
 
 MODES = ("theta", "south", "north")
@@ -161,11 +161,11 @@ def omega_probe(
     "escaping" when at least 99% of sampled points drift past the 1e-3
     threshold with the sign an empty omega-limit would force (consistency
     check only, not a proof); otherwise "persistent".  Returns
-    (verdict, drifts) with the per-point projected Birkhoff means.
+    (verdict, drifts) with the per-point projected Birkhoff means; a cloud
+    with no candidate points, or none that stays in the half plane, gives
+    no drifts and "escaping".
     """
     pts = cloud.candidate_unbounded_points()
-    if len(pts) == 0:
-        raise ValueError("cloud has no candidate-unbounded points")
     if len(pts) > max_samples:
         stride = int(np.ceil(len(pts) / max_samples))
         pts = pts[::stride]
@@ -215,9 +215,8 @@ def complement_disk_stats(
         raise ValueError("region smaller than one cell")
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    tree = cKDTree(obstacle)
-    dist, _ = tree.query(centers)
-    free = (dist > grid_step).reshape(len(xs), len(ys))
+    free = np.ones(X.shape, dtype=bool)
+    free.flat[CellIndex(obstacle, grid_step).pairs(centers, grid_step)[0]] = False
     lab, n = ndimage.label(free)
     on_boundary = _boundary_flags(lab, n)
     cells = ndimage.value_indices(lab, ignore_value=0)
@@ -237,8 +236,6 @@ def _diameter(pts: np.ndarray) -> float:
     """Max pairwise distance via the convex hull of the point set."""
     if len(pts) == 1:
         return 0.0
-    from .geometry import convex_hull
-
     hull = convex_hull(pts)
     best = 0.0
     for i in range(len(hull)):

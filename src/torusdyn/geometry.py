@@ -1,8 +1,11 @@
-"""Planar helpers: convex hulls, point/hull distances, Hausdorff gaps."""
+"""Planar helpers: convex hulls, hull distances, Hausdorff gaps, cell index."""
 
 from __future__ import annotations
 
 import numpy as np
+
+# at most this many cells per axis (plus one) bound a CellIndex's offset table
+GRID_CELLS_PER_AXIS = 2048
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -116,3 +119,48 @@ def hausdorff_gap(hull_a: np.ndarray, hull_b: np.ndarray) -> float:
     d_ab = max(distance_to_hull(p, hull_b) for p in hull_a)
     d_ba = max(distance_to_hull(p, hull_a) for p in hull_b)
     return max(d_ab, d_ba)
+
+
+class CellIndex:
+    """Points bucketed by square cell of side max(min_cell, extent /
+    GRID_CELLS_PER_AXIS), or 1.0 if that is zero: cell c, by flat id x major,
+    holds the points `order[offsets[c]:offsets[c + 1]]`, in input order."""
+
+    def __init__(self, points, min_cell: float):
+        self.points = pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.lo = pts.min(axis=0)
+        self.cell = max(min_cell, float(np.max(pts.max(axis=0) - self.lo)) / GRID_CELLS_PER_AXIS) or 1.0
+        c = np.floor((pts - self.lo) / self.cell).astype(np.intp)
+        self.shape = c.max(axis=0) + 1
+        flat = c[:, 0] * self.shape[1] + c[:, 1]
+        self.order = np.argsort(flat, kind="stable")
+        cells = self.shape[0] * self.shape[1]
+        self.offsets = np.cumsum(np.bincount(flat + 1, minlength=cells + 1), dtype=np.int32)
+
+    def pairs(self, queries, r: float):
+        """Int arrays (i, j), in lexicographic order, of the queries i and
+        points j with sqrt(dx*dx + dy*dy) <= r, (dx, dy) = point - query.
+        A query scans one run per column of the cells its square of half side
+        r touches, widened by a hair against rounding in cell coordinates."""
+        q = np.asarray(queries, dtype=float).reshape(-1, 2)
+        reach = r / self.cell * (1.0 + 1e-9) + 1e-9
+        span = []  # first and one-past-last cell of each square, x then y
+        for axis in (0, 1):
+            b = (q[:, axis] - self.lo[axis]) / self.cell
+            for edge in (np.floor(b - reach), np.floor(b + reach) + 1.0):
+                span.append(np.clip(edge, 0.0, float(self.shape[axis]), out=edge).astype(np.intp))
+        x0, x1, y0, y1 = span
+        k = np.repeat(np.arange(len(q)), x1 - x0)  # query of each scanned column
+        base = _runs(x0, x1 - x0) * self.shape[1]
+        start = self.offsets[base + y0[k]].astype(np.intp)
+        n = self.offsets[base + y1[k]] - start
+        i, j = np.repeat(k, n), self.order[_runs(start, n)]
+        d = self.points[j] - q[i]
+        near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= r
+        key = np.sort(i[near] * len(self.points) + j[near])
+        return key // len(self.points), key % len(self.points)
+
+
+def _runs(start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges start[k] ... start[k] + n[k] - 1, concatenated."""
+    return np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)

@@ -9,10 +9,9 @@ complementary components, so tangential touches never count.
 
 Crossing search is a broad phase followed by a narrow phase.  The broad
 phase pairs segments whose midpoints lie within half the sum of the two
-curves' longest segments, which every strictly crossing pair does.  Its
-index over the target's midpoints (a KD-tree plus a coarse occupancy grid)
-is built once per curve and queried at `midpoints - v` for a translate v;
-the grid drops query points far from the target before the tree is asked.
+curves' longest segments, which every strictly crossing pair does.  It asks
+a `geometry.CellIndex` over the target's midpoints, built once per curve,
+for the pairs within that radius of `midpoints - v` for a translate v.
 The narrow phase tests strict crossings over all candidate pairs at once
 and runs the rectangle walk only on true crossings, in (piece segment,
 target segment) order.
@@ -20,14 +19,12 @@ target segment) order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
+from .geometry import CellIndex
 from .maps import LiftedTorusMap
 from .periodic import PeriodicPoint
 
@@ -35,9 +32,6 @@ DEFAULT_H_MAX = 1e-3
 DEFAULT_DELTA_SEED = 1e-6
 DEFAULT_BUDGET = 200.0
 VERTEX_CAP = 2_000_000
-# the broad-phase occupancy grid has at most this many cells per axis (plus
-# a border), so its memory is bounded whatever the curve's extent
-GRID_CELLS_PER_AXIS = 2048
 
 
 class NonHyperbolicError(ValueError):
@@ -72,49 +66,16 @@ class ManifoldCurve:
 
 
 class _SegmentIndex:
-    """Segment midpoints of one polyline and their longest segment length;
-    built on first use, a KD-tree of the midpoints and a grid of the cells
-    holding a midpoint, dilated by one cell.
-
-    A point within `cell` of some midpoint lies in a marked cell, so for a
-    search radius r <= cell the grid discards only points that have no
-    midpoint within r.
-    """
+    """Segment midpoints of one polyline, their longest segment length and, on
+    first use, a `CellIndex` of the midpoints with cells at least twice that."""
 
     def __init__(self, vertices: np.ndarray):
-        self.midpoints = mid = 0.5 * (vertices[:-1] + vertices[1:])
+        self.midpoints = 0.5 * (vertices[:-1] + vertices[1:])
         self.max_len = float(np.max(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
-        self.lo = mid.min(axis=0)
-        extent = float(np.max(mid.max(axis=0) - self.lo))
-        # any positive cell keeps the pruning exact; 1.0 covers a polyline
-        # that is a single point
-        self.cell = max(2.0 * self.max_len, extent / GRID_CELLS_PER_AXIS) or 1.0
 
     @cached_property
-    def tree(self) -> cKDTree:
-        return cKDTree(self.midpoints, balanced_tree=False)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        # cell coordinates start at 1, leaving a border cell for the dilation
-        idx = self._cells(self.midpoints).astype(np.intp)
-        occupied = np.zeros(idx.max(axis=0) + 2, dtype=bool)
-        occupied[idx[:, 0], idx[:, 1]] = True
-        return ndimage.maximum_filter(occupied, size=3)
-
-    def _cells(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((points - self.lo) / self.cell) + 1
-
-    def near(self, points: np.ndarray, r: float) -> np.ndarray:
-        """Indices of the points that may have a midpoint within r."""
-        if r > self.cell:
-            return np.arange(len(points))
-        grid = self.grid
-        c = self._cells(points)
-        x, y = c[:, 0], c[:, 1]
-        sel = np.flatnonzero((x >= 0) & (x < grid.shape[0]) & (y >= 0) & (y < grid.shape[1]))
-        c = c[sel].astype(np.intp)
-        return sel[grid[c[:, 0], c[:, 1]]]
+    def cells(self) -> CellIndex:
+        return CellIndex(self.midpoints, 2.0 * self.max_len)
 
 
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:
@@ -232,7 +193,9 @@ def grow_manifold(
             P = step(P)
         return P
 
-    vertices = [z0]
+    # each level's new vertices as one 2-D chunk, joined once at the end
+    chunks = [z0[None, :]]
+    n_vertices = 1
     arclength = 0.0
     insertions = 0
     level = 0
@@ -253,29 +216,30 @@ def grow_manifold(
                 break
             p_new = advance(seed_point(t_new), level)
             insertions += len(t_new)
-            t = np.concatenate([t, t_new])
-            order = np.argsort(t)
-            t = t[order]
-            pts = np.concatenate([pts, p_new])[order]
-            if len(vertices) + len(t) > vertex_cap:
+            # each t_new lies strictly between its neighbours, so inserting
+            # by position keeps t sorted
+            at = bad[resolvable] + 1
+            t = np.insert(t, at, t_new)
+            pts = np.insert(pts, at, p_new, axis=0)
+            if n_vertices + len(t) > vertex_cap:
                 raise GrowthError("refinement exceeded the vertex cap")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         cum = arclength + np.cumsum(seg)
         if cum[-1] >= arclength_budget:
             cut = int(np.searchsorted(cum, arclength_budget))
-            vertices.extend(pts[1 : cut + 2])
+            chunks.append(pts[1 : cut + 2])
             arclength = float(cum[min(cut, len(cum) - 1)])
             break
-        vertices.extend(pts[1:])
+        chunks.append(pts[1:])
+        n_vertices += len(pts) - 1
         arclength = float(cum[-1])
         level += 1
         pts = advance(pts, 1)
-    V = np.asarray(vertices)
     return ManifoldCurve(
         owner=pp,
         kind=kind,
         branch=branch,
-        vertices=V,
+        vertices=np.concatenate(chunks),
         arclength=arclength,
         growth_log=(level, insertions),
         h_max=h_max,
@@ -328,16 +292,8 @@ def _segment_pairs(piece: ManifoldCurve, target: ManifoldCurve, v: np.ndarray):
     """Candidate (i, j) segment index pairs of piece and target + v whose
     midpoints are within half the sum of the longest segments of each, as
     int arrays in lexicographic order."""
-    index = target.segment_index
-    own = piece.segment_index
-    mp = own.midpoints - v
-    r = 0.5 * (own.max_len + index.max_len) + 1e-12
-    sel = index.near(mp, r)
-    groups = index.tree.query_ball_point(mp[sel], r, return_sorted=True)
-    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    i = np.repeat(sel, counts)
-    j = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum()))
-    return i, j
+    own, index = piece.segment_index, target.segment_index
+    return index.cells.pairs(own.midpoints - v, 0.5 * (own.max_len + index.max_len) + 1e-12)
 
 
 def _cross(o, p, q):
@@ -539,8 +495,8 @@ def closure_invariance_score(curve: ManifoldCurve, v, region, eps: float = 0.0) 
         return 0.0
     if eps > 0:
         A = np.unique(np.round(A / eps), axis=0) * eps
-    tree = cKDTree(V)
-    d, _ = tree.query(A)
+    from scipy.spatial import cKDTree  # tests are its only callers
+    d, _ = cKDTree(V).query(A)
     return float(np.max(d))
 
 

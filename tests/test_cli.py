@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,65 @@ extra = 500
     assert (out / "manifest.json").is_file()
     data = json.loads((out / "omega.json").read_text())
     assert sum(data["drift_histogram"]["counts"]) == data["samples"]
+
+
+@pytest.mark.parametrize(
+    "horizon, omega",
+    # horizon 50: the cloud has no candidate points; horizon 3: every
+    # sample leaves the half plane during the extra iterations
+    [("50", ""), ("3", "[omega]\nextra = 50\n")],
+)
+def test_omega_probe_without_drift_samples(tmp_path, horizon, omega):
+    text = (
+        "[map]\nmap = translation\na = 0\nb = -0.1\n[run]\ncommand = omega-probe\n"
+        "[confinement]\nmode = north\nwindow = 1\nstep = 0.125\nhorizon = %s\n%s"
+    )
+    code, out = _run(tmp_path, text % (horizon, omega))
+    assert code == 0
+    assert (out / "manifest.json").is_file()
+    data = json.loads((out / "omega.json").read_text())
+    assert data["samples"] == 0
+    assert data["drift_min"] is None and data["drift_max"] is None
+    assert data["drift_histogram"] == {"counts": [], "edges": []}
+    assert data["verdict"] == "escaping"
+
+
+@pytest.mark.parametrize("command", ["rotset", "vrotset"])
+@pytest.mark.parametrize(
+    "keys, line",
+    [("n1 = 10\nn2 = 5", 7), ("n2 = 5\nn1 = 5", 7), ("n1 = 20000", 6), ("n2 = 1000", 6)],
+)
+def test_horizons_out_of_order_exit_2(tmp_path, capsys, command, keys, line):
+    text = "[map]\nmap = standard\n[run]\ncommand = %s\n[%s]\n%s\n"
+    code, out = _run(tmp_path, text % (command, command, keys))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line %d" % line in err and "%s.n1/n2" % command in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, map_name",
+    # the standard map is Dehn class, the translation identity class
+    [("rotset", "standard"), ("vrotset", "translation")],
+)
+def test_wrong_homotopy_class_exits_2(tmp_path, capsys, command, map_name):
+    code, _ = _run(tmp_path, "[map]\nmap = %s\n[run]\ncommand = %s\n" % (map_name, command))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    code = "import sys, torusdyn.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

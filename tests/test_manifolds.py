@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 import torusdyn as td
 from torusdyn import manifolds
-from torusdyn.geometry import point_segment_distance
+from torusdyn.geometry import CellIndex, point_segment_distance
 from torusdyn.manifolds import (
     CrossingWitness,
     GrowthError,
@@ -344,16 +344,18 @@ def test_detect_crossings_matches_reference_on_random_polylines(P, T, v, max_wit
     _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v, max_witnesses))
 
 
-def test_long_piece_segments_skip_grid_pruning():
+def test_long_piece_segments_scan_several_cells():
     # a three-vertex zigzag across a finely sampled sine: the search radius
-    # is far above the target's grid cell, so every midpoint goes to the tree
+    # spans many of the target's cells, and the candidates still match the
+    # reference pairs
     piece = td.polyline_curve([[-1.0, -0.3], [0.05, 0.35], [1.0, -0.25]], 1e-3)
     xs = np.linspace(-1.0, 1.0, 2000)
     target = td.polyline_curve(np.stack([xs, 0.2 * np.sin(7.0 * xs)], axis=-1), 1e-3)
     index = target.segment_index
     r = 0.5 * (piece.segment_index.max_len + index.max_len)
-    assert r > index.cell
-    assert np.array_equal(index.near(piece.segment_index.midpoints, r), np.arange(2))
+    assert r > 2.0 * index.cells.cell
+    i, j = manifolds._segment_pairs(piece, target, np.zeros(2))
+    assert list(zip(i.tolist(), j.tolist())) == _ref_segment_pairs(piece.vertices, target.vertices)
     for v in [(0, 0), (0, 1), (1, 0)]:
         got = td.detect_crossings(piece, target, v)
         _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v))
@@ -379,25 +381,25 @@ def test_two_vertex_target():
     (wit,) = td.detect_crossings(piece, target)
     assert np.allclose(wit.location, [0.25, 0.0])
     point = td.polyline_curve([[0.25, 0.0], [0.25, 0.0]])  # zero extent and length
-    assert point.segment_index.cell > 0
+    assert point.segment_index.cells.cell > 0
     assert td.detect_crossings(piece, point) == []
 
 
 def test_segment_index_built_once_per_curve(monkeypatch):
     built = []
 
-    def counting_tree(points, **kwargs):
+    def counting_index(points, min_cell):
         built.append(len(points))
-        return cKDTree(points, **kwargs)
+        return CellIndex(points, min_cell)
 
-    monkeypatch.setattr(manifolds, "cKDTree", counting_tree)
+    monkeypatch.setattr(manifolds, "CellIndex", counting_index)
     u = _segment((-0.5, 0), (0.5, 0))
     s = _segment((0, -0.5), (0, 0.5), n=40)
     index = s.segment_index
     td.translate_scan(u, s, half_range=1, max_witnesses=None)
     td.translate_scan(u, s, half_range=1, max_witnesses=None)
     assert s.segment_index is index
-    assert built == [39]  # one tree for the target; the piece needs none
+    assert built == [39]  # one index for the target; the piece needs none
     moved = s.translated((1, 0))
     assert moved.segment_index is not index
     assert np.array_equal(moved.segment_index.midpoints, 0.5 * (moved.vertices[:-1] + moved.vertices[1:]))
