@@ -1,7 +1,8 @@
 """Run configuration: `[section]` headers with `key = value` lines.
 
 Unknown keys and bad values, among them a size, count or tolerance that is
-not positive and rotation horizons with n1 >= n2, are rejected with their
+not positive, a map parameter, seed point, angle or ball centre that is
+not finite and rotation horizons with n1 >= n2, are rejected with their
 line number; duplicate keys follow a last-wins policy and are recorded as
 warnings for the run manifest.
 """
@@ -70,6 +71,13 @@ def _positive_float(s: str) -> float:
     return value
 
 
+def _finite_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("must be finite, got %r" % value)
+    return value
+
+
 def _parse_rho(s: str):
     parts = s.split(",")
     if len(parts) != 2:
@@ -81,12 +89,12 @@ def _parse_rho(s: str):
 SCHEMA = {
     "map": {
         "map": (_choice(tuple(BUILTIN_MAPS)), "standard"),
-        "k": (float, 2.0),
-        "epsilon": (float, 0.0),
-        "a": (float, 0.0),
-        "b": (float, 0.0),
-        "d": (float, 0.5),
-        "lam": (float, 2.0),
+        "k": (_finite_float, 2.0),
+        "epsilon": (_finite_float, 0.0),
+        "a": (_finite_float, 0.0),
+        "b": (_finite_float, 0.0),
+        "d": (_finite_float, 0.5),
+        "lam": (_finite_float, 2.0),
     },
     "run": {
         "command": (_choice(COMMANDS), None),
@@ -114,8 +122,8 @@ SCHEMA = {
         "q": (_positive_int, 1),
         "p": (int, 0),
         "r": (int, 0),
-        "seed_x": (float, 0.1),
-        "seed_y": (float, 0.1),
+        "seed_x": (_finite_float, 0.1),
+        "seed_y": (_finite_float, 0.1),
         "budget": (_positive_float, 200.0),
         "h_max": (_positive_float, 1e-3),
         "delta": (_positive_float, 1e-6),
@@ -126,7 +134,7 @@ SCHEMA = {
     },
     "confinement": {
         "mode": (_choice(MODES), "south"),
-        "theta": (float, 0.0),
+        "theta": (_finite_float, 0.0),
         "window": (_positive_float, 4.0),
         "step": (_positive_float, 1.0 / 128.0),
         "horizon": (_positive_int, 1000),
@@ -134,10 +142,10 @@ SCHEMA = {
     "omega": {"extra": (_positive_int, 10000)},
     "disks": {"region": (_positive_float, 2.0), "step": (_positive_float, 0.02)},
     "mixing": {
-        "ux": (float, 0.25),
-        "uy": (float, 0.25),
-        "vx": (float, 0.75),
-        "vy": (float, 0.75),
+        "ux": (_finite_float, 0.25),
+        "uy": (_finite_float, 0.25),
+        "vx": (_finite_float, 0.75),
+        "vy": (_finite_float, 0.75),
         "radius": (_positive_float, 0.2),
         "n_max": (_positive_int, 200),
     },

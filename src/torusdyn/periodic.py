@@ -7,7 +7,7 @@ eigenvalues are positive and whose manifold branches are invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,11 @@ class PeriodicPoint:
 def _periodic_point(m: LiftedTorusMap, z: np.ndarray, q: int, pr) -> PeriodicPoint:
     """z as a (q, (p, r)) periodic point: orbit Jacobian, residual
     || f^q(z) - z - (p, r) ||, eigenvalues and class."""
-    fz, J = _orbit_jacobian(m, z, q)
+    J, residual = _jacobian_residual(m, z, q, pr)
+    return _make_point(z, q, pr, J, residual)
+
+
+def _make_point(z, q: int, pr, J: np.ndarray, residual) -> PeriodicPoint:
     return PeriodicPoint(
         point=z,
         period=q,
@@ -52,18 +56,32 @@ def _periodic_point(m: LiftedTorusMap, z: np.ndarray, q: int, pr) -> PeriodicPoi
         jacobian=J,
         eigenvalues=_eigvals(J),
         classification=classify_jacobian(J),
-        residual=float(np.linalg.norm(fz - z - np.asarray(pr, dtype=float))),
+        residual=float(residual),
     )
 
 
 def _orbit_jacobian(m: LiftedTorusMap, z, q: int):
-    """(f^q(z), D f^q(z)) by the chain rule along the orbit."""
+    """(f^q(z), D f^q(z)) by the chain rule along the orbit, for a point or
+    an (n, 2) batch."""
     z = np.asarray(z, dtype=float)
     J = np.eye(2)
     for _ in range(q):
         J = m.jacobian(z) @ J
         z = m.forward(z)
     return z, J
+
+
+def _jacobian_residual(m: LiftedTorusMap, z, q: int, pr):
+    """(D f^q(z), || f^q(z) - z - (p, r) ||) for a point or an (n, 2) batch."""
+    fz, J = _orbit_jacobian(m, z, q)
+    return J, _norm(fz - z - np.asarray(pr, dtype=float))
+
+
+def _norm(v: np.ndarray):
+    """Euclidean norm over the last axis of (..., 2), bitwise equal to
+    np.linalg.norm of each row: both take the BLAS dot of the row with
+    itself, which may fuse the multiply-add that (v * v).sum(-1) rounds."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 def _eigvals(J: np.ndarray) -> np.ndarray:
@@ -89,6 +107,56 @@ def classify(pp: PeriodicPoint) -> str:
     return classify_jacobian(pp.jacobian)
 
 
+# Per-seed state of the batched Newton solve.
+RUNNING, STEP_CONVERGED, DIVERGED, SINGULAR = 0, 1, 2, 3
+
+
+def _check_newton_args(q: int, tol: float) -> None:
+    if q < 1:
+        raise ValueError("period must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+
+def _newton_batch(m: LiftedTorusMap, q: int, pr, seeds, max_iter: int):
+    """Newton on F(z) = f^q(z) - z - (p, r) from every row of an (n, 2)
+    seed array at once.
+
+    Each iteration stacks the orbit Jacobians of the running rows, flags the
+    rows whose Newton matrix is singular, and takes one solve over the rest.
+    A row then stops as diverged (non-finite or |z| > 1e12) or, when its
+    step is below NEWTON_STEP_TOL, as step-converged; rows still running
+    after max_iter keep their last iterate.  Returns (z, status): the last
+    iterate of each row (the iterate at which it was found singular) and
+    its state.
+    """
+    pr_vec = np.asarray(pr, dtype=float)
+    z = np.array(seeds, dtype=float).reshape(-1, 2)
+    status = np.full(len(z), RUNNING, dtype=np.int8)
+    rows = np.arange(len(z))
+    for _ in range(max_iter):
+        if not len(rows):
+            break
+        zr = z[rows]
+        fz, J = _orbit_jacobian(m, zr, q)
+        F = fz - zr - pr_vec
+        DF = J - np.eye(2)
+        scale = np.abs(DF).max(axis=(1, 2)) ** 2
+        singular = np.abs(np.linalg.det(DF)) < 1e-14 * np.where(scale > 1.0, scale, 1.0)
+        status[rows[singular]] = SINGULAR
+        keep = ~singular
+        rows, zr = rows[keep], zr[keep]
+        step = np.linalg.solve(DF[keep], -F[keep][:, :, None])[:, :, 0]
+        zr = zr + step
+        z[rows] = zr
+        diverged = ~np.all(np.isfinite(zr), axis=1) | (_norm(zr) > 1e12)
+        converged = ~diverged & (_norm(step) < NEWTON_STEP_TOL)
+        status[rows[diverged]] = DIVERGED
+        status[rows[converged]] = STEP_CONVERGED
+        rows = rows[~(diverged | converged)]
+    return z, status
+
+
 def newton_periodic(
     m: LiftedTorusMap,
     q: int,
@@ -103,65 +171,33 @@ def newton_periodic(
     SingularNewtonError when the Newton matrix degenerates (parabolic or
     non-isolated solutions).
     """
-    if q < 1:
-        raise ValueError("period must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    pr_vec = np.asarray(pr, dtype=float)
-    z = np.asarray(seed, dtype=float).copy()
-    for _ in range(max_iter):
-        fz, J = _orbit_jacobian(m, z, q)
-        F = fz - z - pr_vec
-        DF = J - np.eye(2)
-        det = np.linalg.det(DF)
-        if abs(det) < 1e-14 * max(1.0, np.abs(DF).max() ** 2):
-            raise SingularNewtonError("Newton matrix is singular at %s" % z)
-        step = np.linalg.solve(DF, -F)
-        z = z + step
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e12:
-            return None
-        if np.linalg.norm(step) < NEWTON_STEP_TOL:
-            break
-    pp = _periodic_point(m, z, q, pr)
+    _check_newton_args(q, tol)
+    z, status = _newton_batch(m, q, pr, [seed], max_iter)
+    if status[0] == SINGULAR:
+        raise SingularNewtonError("Newton matrix is singular at %s" % z[0])
+    if status[0] == DIVERGED:
+        return None
+    pp = _periodic_point(m, z[0], q, pr)
     return None if pp.residual >= tol else pp
 
 
-def _frac(x: np.ndarray) -> np.ndarray:
-    return x - np.floor(x)
+def _mod1_distance(a: np.ndarray, b: np.ndarray):
+    """Distance between plane points modulo integer translations, row-wise
+    over (..., 2) arrays."""
+    d = a - b
+    d = d - np.floor(d)
+    return _norm(np.minimum(d, 1.0 - d))
 
 
-def _mod1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two plane points modulo integer translations."""
-    d = _frac(a - b)
-    d = np.minimum(d, 1.0 - d)
-    return float(np.linalg.norm(d))
-
-
-def _same_orbit(m: LiftedTorusMap, a: PeriodicPoint, b: PeriodicPoint) -> bool:
-    """True when b lies on the projected q-orbit of a (mod 1), or coincides."""
-    if a.period != b.period:
-        return False
-    z = a.point
-    for _ in range(a.period):
-        if _mod1_distance(z, b.point) < 1e-6:
-            return True
-        z = m.forward(z)
-    return False
-
-
-def _normalize_representative(m: LiftedTorusMap, pp: PeriodicPoint) -> PeriodicPoint:
-    """Shift the point by a lattice vector fixed by A^q, into [0, 1) where
+def _representatives(m: LiftedTorusMap, z: np.ndarray) -> np.ndarray:
+    """Shift each row by a lattice vector fixed by A^q, into [0, 1) where
     possible.  Such shifts keep the same (q, (p, r)) family exactly."""
     if not m.is_lift:
-        return pp
-    z = pp.point
-    if m.homotopy_class == "identity":
-        v = np.floor(z + 1e-9)
-    else:
-        v = np.array([np.floor(z[0] + 1e-9), 0.0])
-    if not np.any(v):
-        return pp
-    return replace(pp, point=z - v)
+        return z
+    v = np.floor(z + 1e-9)
+    if m.homotopy_class != "identity":
+        v[:, 1] = 0.0
+    return z - v
 
 
 def sweep_periodic(
@@ -173,6 +209,9 @@ def sweep_periodic(
 ) -> list:
     """Newton from every seed, deduplicated to one representative per orbit.
 
+    The seeds are solved as one batch, and the result equals running
+    `newton_periodic` from each seed in turn and keeping, in seed order,
+    each point that is not a duplicate of one kept before it.
     Deduplication: distance modulo integer translates below 10 * DEDUP_RADIUS
     (which covers plane distance below DEDUP_RADIUS), and cyclic shifts along
     the same q-orbit.  Singular seeds are skipped (a fully degenerate family
@@ -181,19 +220,24 @@ def sweep_periodic(
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     if len(seeds) == 0:
         raise ValueError("empty seed grid")
+    _check_newton_args(q, tol)
+    z, status = _newton_batch(m, q, pr, seeds, NEWTON_MAX_ITER)
+    z = z[status <= STEP_CONVERGED]
+    J, residual = _jacobian_residual(m, z, q, pr)
+    ok = ~(residual >= tol)
+    z, J, residual = _representatives(m, z[ok]), J[ok], residual[ok]
+    # Each pass keeps the first seed left and drops every later seed that
+    # duplicates it; any seed left then duplicates none of the kept ones.
     found: list[PeriodicPoint] = []
-    for seed in seeds:
-        try:
-            pp = newton_periodic(m, q, pr, seed, tol=tol)
-        except SingularNewtonError:
-            continue
-        if pp is None:
-            continue
-        pp = _normalize_representative(m, pp)
-        if not any(
-            _mod1_distance(pp.point, other.point) < DEDUP_RADIUS * 10
-            or _same_orbit(m, other, pp)
-            for other in found
-        ):
-            found.append(pp)
+    left = np.ones(len(z), dtype=bool)
+    while left.any():
+        i = int(np.argmax(left))
+        found.append(_make_point(z[i], q, pr, J[i], residual[i]))
+        dup = _mod1_distance(z, z[i]) < DEDUP_RADIUS * 10
+        w = z[i]
+        for _ in range(q):
+            dup |= _mod1_distance(w, z) < 1e-6
+            w = m.forward(w)
+        left &= ~dup
+        left[i] = False
     return found

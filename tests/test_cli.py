@@ -165,6 +165,20 @@ def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
         ("disks", "disks", "region", "0"),
         ("mixing", "mixing", "n_max", "0"),
         ("scan-translates", "translates", "max_witnesses", "0"),
+        # map parameters, seed points, angles and ball centres must be finite
+        ("find-periodic", "map", "k", "nan"),
+        ("find-periodic", "map", "epsilon", "inf"),
+        ("find-periodic", "map", "a", "nan"),
+        ("find-periodic", "map", "b", "-inf"),
+        ("find-periodic", "map", "d", "inf"),
+        ("find-periodic", "map", "lam", "nan"),
+        ("grow", "grow", "seed_x", "nan"),
+        ("grow", "grow", "seed_y", "-inf"),
+        ("confinement", "confinement", "theta", "inf"),
+        ("mixing", "mixing", "ux", "nan"),
+        ("mixing", "mixing", "uy", "inf"),
+        ("mixing", "mixing", "vx", "-inf"),
+        ("mixing", "mixing", "vy", "nan"),
     ],
 )
 def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, value):
