@@ -10,17 +10,19 @@ Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
 values carry their line number; a map of the wrong homotopy class for
 rotset or vrotset; an unreadable or malformed [sft] graph, a cycle_cap
 below its vertex count, a rho outside its cycle-mean hull); 3
-numerical abort (orbit escape, non-finite image, singular Newton matrix,
-failed manifold growth, a [grow] seed with no hyperbolic periodic point,
-the simple-cycle cap exceeded, no vertex-connected cycle combination for
-rho).
+numerical abort (orbit escape; a non-finite image in confinement,
+omega-probe, mixing or check-all; a singular Newton matrix, failed
+manifold growth, a [grow] seed with no hyperbolic periodic point, the
+simple-cycle cap exceeded, no vertex-connected cycle combination for rho).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +152,15 @@ def _hyperbolic_seed_point(m, cfg):
     return pp
 
 
+def _grow(m, cfg, pp, kind):
+    """The "+" branch of the `kind` manifold of pp at the [grow] budget."""
+    g = cfg.values["grow"]
+    return mfd.grow_manifold(m, pp, kind, "+", g["budget"], g["h_max"], g["delta"])
+
+
 def _grow_pair(m, cfg):
     pp = _hyperbolic_seed_point(m, cfg)
-    budget = cfg.get("grow", "budget")
-    h_max = cfg.get("grow", "h_max")
-    delta = cfg.get("grow", "delta")
-    wu = mfd.grow_manifold(m, pp, "unstable", "+", budget, h_max, delta)
-    ws = mfd.grow_manifold(m, pp, "stable", "+", budget, h_max, delta)
-    return pp, wu, ws
+    return pp, _grow(m, cfg, pp, "unstable"), _grow(m, cfg, pp, "stable")
 
 
 def _tangle_svg(path, wu, ws, witnesses=()):
@@ -281,7 +284,7 @@ def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
 
 def run_disks(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
-    _, wu, _ = _grow_pair(m, cfg)
+    wu = _grow(m, cfg, _hyperbolic_seed_point(m, cfg), "unstable")
     r = cfg.get("disks", "region")
     report = conf.complement_disk_stats(
         wu.vertices, ((0.0, r), (0.0, r)), cfg.get("disks", "step")
@@ -298,11 +301,15 @@ def run_disks(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
+def _mixing_balls(cfg: RunConfig):
+    """The [mixing] balls u and v as ((x, y), radius)."""
+    mx = cfg.values["mixing"]
+    return ((mx["ux"], mx["uy"]), mx["radius"]), ((mx["vx"], mx["vy"]), mx["radius"])
+
+
 def run_mixing(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
-    u = ((cfg.get("mixing", "ux"), cfg.get("mixing", "uy")), cfg.get("mixing", "radius"))
-    v = ((cfg.get("mixing", "vx"), cfg.get("mixing", "vy")), cfg.get("mixing", "radius"))
-    hits, n0 = mfd.mixing_probe(m, u, v, cfg.get("mixing", "n_max"))
+    hits, n0 = mfd.mixing_probe(m, *_mixing_balls(cfg), cfg.get("mixing", "n_max"))
     write_csv(outdir / "mixing.csv", ["n", "hit"], [(n, int(hits[n])) for n in range(1, len(hits))])
     write_json(outdir / "mixing.json", {"n_max": len(hits) - 1, "tail_start": n0, "hits_total": int(hits.sum())})
     return EXIT_PASS
@@ -356,6 +363,13 @@ def run_sft_orbit(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
+# check-all's fixed budgets
+CHECK_GRID = 32
+CHECK_HORIZONS = (500, 5000)
+CHECK_WINDOW = ((-2.0, 2.0), (-2.0, 2.0))
+CHECK_STEP = 1.0 / 32.0
+CHECK_HORIZON = 300
+CHECK_OMEGA_ITERATIONS = 2000
 # check-all's omega probe: (mode, theta) per half plane, by homotopy class
 OMEGA_MODES = {
     "dehn": (("south", None), ("north", None)),
@@ -363,128 +377,106 @@ OMEGA_MODES = {
 }
 
 
-def check_all(cfg: RunConfig, outdir: Path) -> int:
-    """End-to-end verification pipeline with one pass/fail/inconclusive row
-    per structural check; dynamical probes are gated on the interiority
-    hypothesis and report 'hypothesis not met, skipped' when it fails."""
-    m = build_map(cfg)
-    rows = []
-    hard_fail = False
+def _lift_check(m, cfg):
+    if not m.is_lift:
+        return "skipped", "map is not a torus lift"
+    pts = child_rng(cfg.rng_seed, "check-lift").uniform(0, 1, size=(1000, 2))
+    deck = max(maps.deck_residual(m, pts, v) for v in itertools.product((-1, 0, 1), repeat=2))
+    area = maps.area_residual(m, pts)
+    return "pass" if deck < 1e-12 and area < 1e-12 else "fail", "deck %.2e area %.2e" % (deck, area)
 
-    def row(name, status, detail=""):
-        nonlocal hard_fail
-        rows.append({"check": name, "status": status, "detail": detail})
-        if status == "fail":
-            hard_fail = True
 
-    # lift contract
-    if m.is_lift:
-        rng = child_rng(cfg.rng_seed, "check-lift")
-        pts = rng.uniform(0, 1, size=(1000, 2))
-        worst = 0.0
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                r = m.forward(pts + (a, b)) - m.forward(pts) - m.homotopy @ np.array([a, b], dtype=float)
-                worst = max(worst, float(np.max(np.linalg.norm(r, axis=1))))
-        area = maps.area_residual(m, pts)
-        ok = worst < 1e-12 and area < 1e-12
-        row("deck-equivariance-and-area", "pass" if ok else "fail", "deck %.2e area %.2e" % (worst, area))
-    else:
-        row("deck-equivariance-and-area", "skipped", "map is not a torus lift")
-
-    # rotation calculus + interiority gate
-    interior = False
+def _rotation_check(m):
+    """Row name, detail and zero margin of the homotopy class's rotation set."""
+    seeds = rotation.seed_grid(CHECK_GRID, CHECK_GRID)
     if m.homotopy_class == "dehn":
-        iv = rotation.estimate_vertical_rotation_set(m, rotation.seed_grid(32, 32), (500, 5000))
+        iv = rotation.estimate_vertical_rotation_set(m, seeds, CHECK_HORIZONS)
         margin = iv.margin(0.0)
-        interior = margin > 1e-3
-        row(
-            "vertical-rotation-interval",
-            "pass",
-            "[%r, %r], gap %.2e, zero margin %r" % (iv.lo, iv.hi, iv.hausdorff_gap, margin),
-        )
-    else:
-        poly = rotation.estimate_rotation_set(m, rotation.seed_grid(32, 32), (500, 5000))
-        margin = poly.margin((0.0, 0.0))
-        interior = margin > 1e-3
-        row(
-            "rotation-set-hull",
-            "pass",
-            "%d hull vertices, gap %.2e, zero margin %r" % (len(poly.hull), poly.hausdorff_gap, margin),
-        )
+        detail = "[%r, %r], gap %.2e, zero margin %r" % (iv.lo, iv.hi, iv.hausdorff_gap, margin)
+        return "vertical-rotation-interval", detail, margin
+    poly = rotation.estimate_rotation_set(m, seeds, CHECK_HORIZONS)
+    margin = poly.margin((0.0, 0.0))
+    detail = "%d hull vertices, gap %.2e, zero margin %r" % (len(poly.hull), poly.hausdorff_gap, margin)
+    return "rotation-set-hull", detail, margin
 
-    if not interior:
-        for name in ("periodic-orbits", "translate-scan", "omega-probe", "mixing-probe"):
-            row(name, "skipped", "hypothesis not met, skipped")
-    else:
-        q = cfg.get("periodic", "q")
-        pr = (cfg.get("periodic", "p"), cfg.get("periodic", "r"))
-        g = cfg.get("periodic", "grid")
-        orbits = periodic.sweep_periodic(m, q, pr, rotation.seed_grid(g, g))
-        ok = all(o.residual < 1e-10 for o in orbits)
-        row(
-            "periodic-orbits",
-            "pass" if (orbits and ok) else ("fail" if orbits else "inconclusive"),
-            "%d orbits" % len(orbits),
-        )
 
-        try:
-            pp, wu, ws = _grow_pair(m, cfg)
-            half = cfg.get("translates", "range")
-            table = mfd.translate_scan(wu, ws, half, 1)
-            misses = sorted(k for k, v in table.items() if not v)
-            if not misses:
-                row("translate-scan", "pass", "witnesses on the full %dx%d box" % (2 * half + 1, 2 * half + 1))
-            elif table[(0, 0)]:
-                row("translate-scan", "inconclusive", "missing at %s" % misses)
-            else:
-                row("translate-scan", "inconclusive", "no homoclinic witness at current budget")
-        except (periodic.SingularNewtonError, RuntimeError) as exc:
-            row("translate-scan", "inconclusive", str(exc))
+def _periodic_check(m, cfg):
+    per = cfg.values["periodic"]
+    seeds = rotation.seed_grid(per["grid"], per["grid"])
+    orbits = periodic.sweep_periodic(m, per["q"], (per["p"], per["r"]), seeds, tol=per["tol"])
+    detail = "%d orbits" % len(orbits)
+    if not orbits:
+        return "inconclusive", detail
+    return "pass" if all(o.residual < per["tol"] for o in orbits) else "fail", detail
 
-        verdicts = []
-        for mode, theta in OMEGA_MODES[m.homotopy_class]:
-            cloud = conf.compute_confinement(
-                m,
-                mode,
-                window=((-2.0, 2.0), (-2.0, 2.0)),
-                grid_step=1.0 / 32.0,
-                horizon=300,
-                theta=theta,
-            )
-            v, _ = conf.omega_probe(cloud, m, 2000)
-            verdicts.append((mode, v))
-        ok = all(v == "escaping" for _, v in verdicts)
-        # one mode reports its bare verdict, several their (mode, verdict) list
-        detail = str(verdicts) if len(verdicts) > 1 else verdicts[0][1]
-        row("omega-probe", "pass" if ok else "inconclusive", detail)
 
-        hits, n0 = mfd.mixing_probe(
-            m,
-            ((0.25, 0.25), 0.2),
-            ((0.75, 0.75), 0.2),
-            cfg.get("mixing", "n_max"),
-        )
-        row(
-            "mixing-probe",
-            "pass" if n0 is not None else "inconclusive",
-            "tail start %s, %d/%d hits" % (n0, int(hits.sum()), len(hits) - 1),
-        )
+def _scan_check(m, cfg):
+    half = cfg.get("translates", "range")
+    try:
+        _, wu, ws = _grow_pair(m, cfg)
+    except (periodic.SingularNewtonError, RuntimeError) as exc:
+        return "inconclusive", str(exc)
+    table = mfd.translate_scan(wu, ws, half, cfg.get("translates", "max_witnesses"))
+    misses = sorted(k for k, v in table.items() if not v)
+    if not misses:
+        return "pass", "witnesses on the full %dx%d box" % (2 * half + 1, 2 * half + 1)
+    if table[(0, 0)]:
+        return "inconclusive", "missing at %s" % misses
+    return "inconclusive", "no homoclinic witness at current budget"
 
-    # exact subshift checks are parameter-free
+
+def _omega_check(m, cfg):
+    verdicts = []
+    for mode, theta in OMEGA_MODES[m.homotopy_class]:
+        cloud = conf.compute_confinement(m, mode, CHECK_WINDOW, CHECK_STEP, CHECK_HORIZON, theta)
+        verdicts.append((mode, conf.omega_probe(cloud, m, CHECK_OMEGA_ITERATIONS)[0]))
+    # one mode reports its bare verdict, several their (mode, verdict) list
+    detail = str(verdicts) if len(verdicts) > 1 else verdicts[0][1]
+    return "pass" if all(v == "escaping" for _, v in verdicts) else "inconclusive", detail
+
+
+def _mixing_check(m, cfg):
+    hits, n0 = mfd.mixing_probe(m, *_mixing_balls(cfg), cfg.get("mixing", "n_max"))
+    detail = "tail start %s, %d/%d hits" % (n0, int(hits.sum()), len(hits) - 1)
+    return "pass" if n0 is not None else "inconclusive", detail
+
+
+def _sft_check():
+    """The two-loop subshift's exact hull and deviation; parameter-free."""
     s = sft.two_loop_example()
     hull = sft.cycle_rotation_hull(s)
-    from fractions import Fraction
-
     hull_ok = hull == [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
     orbit = sft.bounded_deviation_orbit(s, (Fraction(1, 2), Fraction(1, 2)), 10000)
     dev_ok = orbit.max_deviation_sq == Fraction(1, 2)
-    row("sft-two-loop", "pass" if (hull_ok and dev_ok) else "fail", "hull %s" % hull_ok)
+    return "pass" if hull_ok and dev_ok else "fail", "hull %s" % hull_ok
 
-    write_json(outdir / "check_all.json", {"rows": rows})
-    lines = ["%-32s %-13s %s" % (r["check"], r["status"], r["detail"]) for r in rows]
+
+# checks that need 0 strictly inside the rotation estimate
+GATED_CHECKS = (
+    ("periodic-orbits", _periodic_check),
+    ("translate-scan", _scan_check),
+    ("omega-probe", _omega_check),
+    ("mixing-probe", _mixing_check),
+)
+
+
+def check_all(cfg: RunConfig, outdir: Path) -> int:
+    """End-to-end verification pipeline with one pass/fail/inconclusive row
+    per structural check; the GATED_CHECKS report 'hypothesis not met,
+    skipped' unless 0 is interior to the rotation estimate."""
+    m = build_map(cfg)
+    rows = [("deck-equivariance-and-area", *_lift_check(m, cfg))]
+    name, detail, margin = _rotation_check(m)
+    rows.append((name, "pass", detail))
+    for name, check in GATED_CHECKS:
+        status_detail = check(m, cfg) if margin > 1e-3 else ("skipped", "hypothesis not met, skipped")
+        rows.append((name, *status_detail))
+    rows.append(("sft-two-loop", *_sft_check()))
+
+    write_json(outdir / "check_all.json", {"rows": [{"check": n, "status": s, "detail": d} for n, s, d in rows]})
+    lines = ["%-32s %-13s %s" % row for row in rows]
     (outdir / "check_all.txt").write_text("\n".join(lines) + "\n")
-    return EXIT_FAIL if hard_fail else EXIT_PASS
+    return EXIT_FAIL if any(status == "fail" for _, status, _ in rows) else EXIT_PASS
 
 
 RUNNERS = {
@@ -518,7 +510,6 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None:
-        cfg.rng_seed = args.seed
         cfg.values["run"]["rng_seed"] = args.seed
     outdir = args.out or Path(cfg.out_dir or "out")
     outdir.mkdir(parents=True, exist_ok=True)

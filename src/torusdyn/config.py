@@ -160,11 +160,20 @@ SCHEMA = {
 
 @dataclass
 class RunConfig:
-    command: str
     values: dict                 # section -> key -> parsed value (defaults filled)
-    rng_seed: int = 0
-    out_dir: str | None = None
     warnings: list = field(default_factory=list)
+
+    @property
+    def command(self) -> str:
+        return self.values["run"]["command"]
+
+    @property
+    def rng_seed(self) -> int:
+        return self.values["run"]["rng_seed"]
+
+    @property
+    def out_dir(self) -> str | None:
+        return self.values["run"]["out"]
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -234,13 +243,7 @@ def parse_config(text: str) -> RunConfig:
         "sft-orbit",
     ):
         raise ConfigError("missing map block: set 'map' in [map]")
-    return RunConfig(
-        command=values["run"]["command"],
-        values=values,
-        rng_seed=values["run"]["rng_seed"],
-        out_dir=values["run"]["out"],
-        warnings=warnings,
-    )
+    return RunConfig(values=values, warnings=warnings)
 
 
 def build_map(cfg: RunConfig):

@@ -19,13 +19,14 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import CellIndex, convex_hull
-from .maps import LiftedTorusMap
+from .maps import LiftedTorusMap, eval_lift
 
 MODES = ("theta", "south", "north")
 DEFAULT_WINDOW = ((-4.0, 4.0), (-4.0, 4.0))
 DEFAULT_GRID_STEP = 1.0 / 128.0
 DEFAULT_HORIZON = 1000
 DEFAULT_EXTRA_ITERATIONS = 10000
+MAX_OMEGA_SAMPLES = 2000
 DRIFT_THRESHOLD = 1e-3
 ESCAPING_FRACTION = 0.99
 
@@ -97,7 +98,8 @@ def compute_confinement(
 
     In theta mode the inequality is on the inner product of the iterate with
     the direction vector; in south/north mode it is on the sign of the
-    vertical coordinate.  Requires the matching homotopy class.
+    vertical coordinate.  Requires the matching homotopy class.  A
+    non-finite image raises FloatingPointError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -126,7 +128,7 @@ def compute_confinement(
     for _ in range(horizon):
         if len(Z) == 0:
             break
-        Z = m.forward(Z)
+        Z = eval_lift(m, Z)
         alive = ok(Z)
         flat, Z = flat[alive], Z[alive]
 
@@ -154,7 +156,6 @@ def omega_probe(
     cloud: ConfinementCloud,
     m: LiftedTorusMap,
     extra_iterations: int = DEFAULT_EXTRA_ITERATIONS,
-    max_samples: int = 2000,
 ):
     """Drift verdict for the candidate-unbounded part of a cloud.
 
@@ -163,11 +164,11 @@ def omega_probe(
     check only, not a proof); otherwise "persistent".  Returns
     (verdict, drifts) with the per-point projected Birkhoff means; a cloud
     with no candidate points, or none that stays in the half plane, gives
-    no drifts and "escaping".
+    no drifts and "escaping".  A non-finite image raises FloatingPointError.
     """
     pts = cloud.candidate_unbounded_points()
-    if len(pts) > max_samples:
-        stride = int(np.ceil(len(pts) / max_samples))
+    if len(pts) > MAX_OMEGA_SAMPLES:
+        stride = int(np.ceil(len(pts) / MAX_OMEGA_SAMPLES))
         pts = pts[::stride]
     d, ok = _half_plane(cloud.mode, cloud.theta)
     (x0, x1), (y0, y1) = cloud.window
@@ -183,6 +184,10 @@ def omega_probe(
         inside &= (
             (Z[:, 0] >= x0) & (Z[:, 0] <= x1) & (Z[:, 1] >= y0) & (Z[:, 1] <= y1)
         )
+    # the map rules carry a non-finite coordinate on to every later image,
+    # so checking the last iterate catches one from any step
+    if not np.isfinite(Z).all():
+        raise FloatingPointError("non-finite image (parameter overflow?)")
     drifts = (Z[alive] - pts[alive]) @ d / extra_iterations
     if np.any(alive & inside):
         verdict = "persistent"  # some orbit never left the window

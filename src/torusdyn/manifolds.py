@@ -25,13 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import CellIndex
-from .maps import LiftedTorusMap
+from .maps import LiftedTorusMap, eval_lift
 from .periodic import PeriodicPoint
 
 DEFAULT_H_MAX = 1e-3
 DEFAULT_DELTA_SEED = 1e-6
 DEFAULT_BUDGET = 200.0
 VERTEX_CAP = 2_000_000
+MIXING_SAMPLES_PER_RADIUS = 8
 
 
 class NonHyperbolicError(ValueError):
@@ -505,29 +506,27 @@ def mixing_probe(
     ball_u: tuple,
     ball_v: tuple,
     n_max: int = 200,
-    samples_per_radius: int = 8,
 ):
     """Probe topological mixing: does f^n(B_u) meet B_v for every large n?
 
     Samples ball_u on a disk grid, iterates, and records per-n hits on
     ball_v.  Returns (hits, n0) where n0 is the first index with an
-    unbroken hit tail up to n_max, or None when the tail is broken.
+    unbroken hit tail up to n_max, or None when the tail is broken.  A
+    non-finite image raises FloatingPointError.
     """
-    (cu, ru), (cv, rv) = (np.asarray(ball_u[0], float), float(ball_u[1])), (
-        np.asarray(ball_v[0], float),
-        float(ball_v[1]),
-    )
+    cu, ru = np.asarray(ball_u[0], float), float(ball_u[1])
+    cv, rv = np.asarray(ball_v[0], float), float(ball_v[1])
     if ru <= 0 or rv <= 0:
         raise ValueError("ball radii must be positive")
-    step = ru / samples_per_radius
-    g = np.arange(-samples_per_radius, samples_per_radius + 1) * step
+    step = ru / MIXING_SAMPLES_PER_RADIUS
+    g = np.arange(-MIXING_SAMPLES_PER_RADIUS, MIXING_SAMPLES_PER_RADIUS + 1) * step
     X, Y = np.meshgrid(g, g, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     pts = pts[np.linalg.norm(pts, axis=1) <= ru] + cu
     hits = np.zeros(n_max + 1, dtype=bool)
     Z = pts
     for n in range(1, n_max + 1):
-        Z = m.forward(Z)
+        Z = eval_lift(m, Z)
         hits[n] = bool(np.any(np.linalg.norm(Z - cv, axis=1) <= rv))
     n0 = None
     if hits[n_max]:

@@ -257,7 +257,7 @@ BUILTIN_MAPS = {
 def eval_lift(m: LiftedTorusMap, z) -> np.ndarray:
     """Forward image under the lift; raises on non-finite result."""
     w = m.forward(np.asarray(z, dtype=float))
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise FloatingPointError("non-finite image (parameter overflow?)")
     return w
 
@@ -285,11 +285,12 @@ def iterate(
 
 
 def deck_residual(m: LiftedTorusMap, z, v) -> float:
-    """|| f(z + v) - f(z) - A v || for an integer vector v."""
+    """|| f(z + v) - f(z) - A v || for an integer vector v, pointwise or max
+    over a batch of points."""
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
     r = m.forward(z + v) - m.forward(z) - m.homotopy @ v
-    return float(np.linalg.norm(r))
+    return float(np.max(np.linalg.norm(r, axis=-1)))
 
 
 def area_residual(m: LiftedTorusMap, z) -> float:

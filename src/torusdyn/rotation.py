@@ -15,7 +15,6 @@ from .geometry import convex_hull, hausdorff_gap, interior_margin
 from .maps import DEFAULT_ESCAPE_BOUND, LiftedTorusMap, OrbitEscapeError
 
 DEFAULT_HORIZONS = (1000, 10000)
-DEFAULT_GRID = (64, 64)
 
 
 class WrongHomotopyClassError(ValueError):

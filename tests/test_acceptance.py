@@ -9,6 +9,7 @@ import math
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 
@@ -244,20 +245,11 @@ def test_criterion_8_two_loop_subshift():
     )
 
 
-CHECK_ALL_CFG = """
-[map]
-map = standard
-k = 2
-
-[run]
-command = check-all
-rng_seed = 11
-"""
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_criterion_9_determinism(tmp_path):
-    cfg = tmp_path / "check_all.cfg"
-    cfg.write_text(CHECK_ALL_CFG)
+    cfg = REPO / "configs" / "check_all_k2.cfg"
     outs = []
     for run in (1, 2):
         out = tmp_path / ("out_%d" % run)
@@ -271,6 +263,10 @@ def test_criterion_9_determinism(tmp_path):
     rows = json.loads((outs[0] / "check_all.json").read_text())["rows"]
     assert all(r["status"] in ("pass", "inconclusive") for r in rows)
     assert any(r["status"] == "pass" for r in rows)
+    # README prints this table as the sample output of the shipped config
+    readme = (REPO / "README.md").read_text()
+    sample = readme.split("which prints one row per structural check, e.g.\n\n```\n")[1].split("```")[0]
+    assert (outs[0] / "check_all.txt").read_text() == sample
     _report(
         "criterion 9 (determinism)",
         "byte-identical outputs across two runs (%d files)" % len(files),

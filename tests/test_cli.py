@@ -223,6 +223,25 @@ def test_numerical_abort_exits_3(tmp_path, grow):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, sizes",
+    # at k = 1e308 the second image of most points overflows; a one-step
+    # cloud stays finite, so the omega-probe case overflows in the probe
+    [
+        pytest.param("confinement", "[confinement]\nhorizon = 5\n", id="confinement"),
+        pytest.param("omega-probe", "[confinement]\nhorizon = 1\n[omega]\nextra = 5\n", id="omega-probe"),
+        pytest.param("mixing", "[mixing]\nn_max = 5\n", id="mixing"),
+    ],
+)
+def test_non_finite_image_exits_3(tmp_path, capsys, command, sizes):
+    text = "[map]\nmap = standard\nk = 1e308\n[run]\ncommand = %s\n%s[confinement]\nwindow = 1\nstep = 0.25\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(tmp_path, text % (command, sizes))
+    assert code == 3
+    assert "numerical abort: non-finite image" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_omega_probe_narrow_drift_range(tmp_path):
     # every drift is 500 * 0.1 up to rounding: too narrow a range for 20
     # distinct histogram edges
@@ -397,6 +416,14 @@ def test_check_all_drift_shear_rows(tmp_path):
     ]
 
 
+def _square_around_zero(m, seeds, horizons):
+    # a square rotation set around 0 opens the interiority gate
+    hull = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    return rotation.RotationPolygon(
+        hull=hull, hull_coarse=hull, sample_means=[], horizons=horizons, hausdorff_gap=0.0
+    )
+
+
 @pytest.mark.parametrize(
     "map_block, omega_row",
     [
@@ -413,20 +440,28 @@ def test_check_all_drift_shear_rows(tmp_path):
     ],
 )
 def test_check_all_identity_class_omega_row(tmp_path, monkeypatch, map_block, omega_row):
-    # a square rotation set around 0 opens the gate, so the theta-mode
-    # confinement and omega probe run as they would for an interior zero
-    def square_around_zero(m, seeds, horizons):
-        hull = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        return rotation.RotationPolygon(
-            hull=hull, hull_coarse=hull, sample_means=[], horizons=horizons, hausdorff_gap=0.0
-        )
-
-    monkeypatch.setattr(rotation, "estimate_rotation_set", square_around_zero)
+    # with the gate open the theta-mode confinement and omega probe run as
+    # they would for an interior zero
+    monkeypatch.setattr(rotation, "estimate_rotation_set", _square_around_zero)
     code, out = _run(tmp_path, "[map]\n%s\n[run]\ncommand = check-all\n" % map_block)
     assert code == 0
     rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
     assert rows["rotation-set-hull"]["detail"] == "4 hull vertices, gap 0.00e+00, zero margin 1.0"
     assert rows["omega-probe"] == {"check": "omega-probe", **omega_row}
+
+
+def test_check_all_reads_mixing_balls(tmp_path, monkeypatch):
+    # the translation by (0.3, 0.1) carries the default u ball across the
+    # default v ball, and never near a v ball moved to (5, -5)
+    monkeypatch.setattr(rotation, "estimate_rotation_set", _square_around_zero)
+    text = "[map]\nmap = translation\na = 0.3\nb = 0.1\n[run]\ncommand = check-all\n[mixing]\nn_max = 20\n"
+    details = []
+    for name, moved in (("default.cfg", ""), ("moved.cfg", "vx = 5\nvy = -5\n")):
+        code, out = _run(tmp_path, text + moved, name=name)
+        assert code == 0
+        rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
+        details.append(rows["mixing-probe"]["detail"])
+    assert details == ["tail start None, 1/20 hits", "tail start None, 0/20 hits"]
 
 
 SFT_GRAPH_CASES = {

@@ -44,6 +44,15 @@ def test_translation_deck_residual_zero():
     assert td.deck_residual(m, (0.17, 0.52), (5, -7)) == 0.0
 
 
+@pytest.mark.parametrize("m", [td.make_standard_map(2.0, 0.01), td.make_drift_shear(0.5)])
+@pytest.mark.parametrize("v", [(1, 0), (-1, 1), (3, -2)])
+def test_deck_residual_of_batch_is_max_over_points(m, v):
+    z = np.random.default_rng(2).uniform(-3, 3, size=(200, 2))
+    per_point = [td.deck_residual(m, p, v) for p in z]
+    assert max(per_point) > 0.0
+    assert td.deck_residual(m, z, v) == max(per_point)
+
+
 def test_validate_homotopy_accepts_dehn_and_identity():
     validate_homotopy([[1, 0], [0, 1]])
     validate_homotopy([[1, 3], [0, 1]])
