@@ -6,7 +6,6 @@ from .maps import (
     LiftedTorusMap,
     deck_residual,
     eval_lift,
-    iterate,
     make_drift_shear,
     make_identity_map,
     make_linear_saddle,
@@ -16,18 +15,14 @@ from .maps import (
 from .rotation import (
     RotationInterval,
     RotationPolygon,
-    birkhoff_mean,
     estimate_rotation_set,
     estimate_vertical_rotation_set,
-    measure_rotation_vector,
-    rotation_vector_of_point,
     seed_grid,
 )
-from .periodic import PeriodicPoint, classify, newton_periodic, sweep_periodic
+from .periodic import PeriodicPoint, newton_periodic, sweep_periodic
 from .manifolds import (
     CrossingWitness,
     ManifoldCurve,
-    closure_invariance_score,
     detect_crossings,
     eigen_frame,
     grow_manifold,

@@ -255,11 +255,13 @@ def _make_cloud(m, cfg):
 
 def _histogram(values: np.ndarray, bins: int):
     """np.histogram, widening a range too narrow for `bins` distinct edges
-    by 0.5 each way, as numpy itself does for a zero range."""
+    by 0.5 each way, as numpy itself does for a zero range, or by half the
+    largest magnitude where 0.5 is below the float spacing."""
     lo, hi = float(values.min()), float(values.max())
-    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
-        return np.histogram(values, bins=bins, range=(lo - 0.5, hi + 0.5))
-    return np.histogram(values, bins=bins)
+    for w in (0.0, 0.5, 0.5 * max(abs(lo), abs(hi))):
+        if np.all(np.diff(np.linspace(lo - w, hi + w, bins + 1)) > 0):
+            break
+    return np.histogram(values, bins=bins, range=(lo - w, hi + w))
 
 
 def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:

@@ -48,9 +48,6 @@ class ConfinementCloud:
     def n_components(self) -> int:
         return len(self.unbounded_flags)
 
-    def component_points(self, cid: int) -> np.ndarray:
-        return self.points[self.labels == cid]
-
     def candidate_unbounded_points(self) -> np.ndarray:
         keep = np.array([self.unbounded_flags[c] for c in self.labels])
         return self.points[keep] if len(self.points) else self.points

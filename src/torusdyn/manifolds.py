@@ -479,28 +479,6 @@ def translate_scan(
     return table
 
 
-def closure_invariance_score(curve: ManifoldCurve, v, region, eps: float = 0.0) -> float:
-    """One-sided discrete Hausdorff distance from (curve + v) to curve,
-    restricted to a region box ((xmin, xmax), (ymin, ymax)).
-
-    With eps > 0, translated vertices are snapped to an eps grid first, so
-    the score is meaningful at that sampling resolution.  A small score is
-    evidence (not proof) that the closure is invariant under v.
-    """
-    V = curve.vertices
-    (x0, x1), (y0, y1) = region
-    A = V + np.asarray(v, dtype=float)
-    mask = (A[:, 0] >= x0) & (A[:, 0] <= x1) & (A[:, 1] >= y0) & (A[:, 1] <= y1)
-    A = A[mask]
-    if len(A) == 0:
-        return 0.0
-    if eps > 0:
-        A = np.unique(np.round(A / eps), axis=0) * eps
-    from scipy.spatial import cKDTree  # tests are its only callers
-    d, _ = cKDTree(V).query(A)
-    return float(np.max(d))
-
-
 def mixing_probe(
     m: LiftedTorusMap,
     ball_u: tuple,

@@ -15,20 +15,13 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-DEFAULT_ESCAPE_BOUND = 1e9
-
 
 class OrbitEscapeError(RuntimeError):
-    """Raised when an orbit leaves the configured coordinate bound.
+    """Raised when an orbit leaves the coordinate bound, with the number of
+    map steps from the seed to the check that caught it."""
 
-    Carries the partial orbit computed so far in ``partial``.
-    """
-
-    def __init__(self, partial: np.ndarray):
-        super().__init__(
-            "orbit escaped the coordinate bound after %d steps" % (len(partial) - 1)
-        )
-        self.partial = partial
+    def __init__(self, steps: int):
+        super().__init__("orbit escaped the coordinate bound after %d steps" % steps)
 
 
 def validate_homotopy(entries) -> np.ndarray:
@@ -262,28 +255,6 @@ def eval_lift(m: LiftedTorusMap, z) -> np.ndarray:
     return w
 
 
-def iterate(
-    m: LiftedTorusMap,
-    z,
-    n: int,
-    escape_bound: float = DEFAULT_ESCAPE_BOUND,
-) -> np.ndarray:
-    """Orbit segment [z, f(z), ..., f^n(z)] as an array of shape (|n|+1, 2).
-
-    Uses the inverse rule when n < 0.  Aborts with OrbitEscapeError (carrying
-    the partial orbit) if a coordinate exceeds escape_bound.
-    """
-    z = np.asarray(z, dtype=float)
-    step = m.forward if n >= 0 else m.inverse
-    out = [z]
-    for _ in range(abs(n)):
-        z = step(z)
-        if not np.all(np.abs(z) <= escape_bound):
-            raise OrbitEscapeError(np.asarray(out))
-        out.append(z)
-    return np.asarray(out)
-
-
 def deck_residual(m: LiftedTorusMap, z, v) -> float:
     """|| f(z + v) - f(z) - A v || for an integer vector v, pointwise or max
     over a batch of points."""
@@ -297,33 +268,3 @@ def area_residual(m: LiftedTorusMap, z) -> float:
     """| |det Df(z)| - 1 |, pointwise or max over a batch of points."""
     J = m.jacobian(np.asarray(z, dtype=float))
     return float(np.max(np.abs(np.abs(np.linalg.det(J)) - 1.0)))
-
-
-def reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
-    """Conjugate by (x, y) -> (x, -y); swaps the south/north half planes."""
-    T = np.array([1.0, -1.0])
-
-    def fwd(z):
-        return m.forward(np.asarray(z, dtype=float) * T) * T
-
-    def inv(w):
-        return m.inverse(np.asarray(w, dtype=float) * T) * T
-
-    def jac(z):
-        J = m.jacobian(np.asarray(z, dtype=float) * T).copy()
-        J[..., 0, 1] *= -1.0
-        J[..., 1, 0] *= -1.0
-        return J
-
-    A = m.homotopy.copy()
-    A[0, 1] *= -1
-    A[1, 0] *= -1
-    return LiftedTorusMap(
-        name=m.name + "_vreflect",
-        params=dict(m.params),
-        homotopy=A,
-        forward=fwd,
-        inverse=inv,
-        jacobian=jac,
-        is_lift=m.is_lift,
-    )

@@ -103,10 +103,6 @@ def classify_jacobian(J: np.ndarray) -> str:
     return "elliptic"
 
 
-def classify(pp: PeriodicPoint) -> str:
-    return classify_jacobian(pp.jacobian)
-
-
 # Per-seed state of the batched Newton solve.
 RUNNING, STEP_CONVERGED, DIVERGED, SINGULAR = 0, 1, 2, 3
 

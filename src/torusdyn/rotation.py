@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import convex_hull, hausdorff_gap, interior_margin
-from .maps import DEFAULT_ESCAPE_BOUND, LiftedTorusMap, OrbitEscapeError
+from .maps import LiftedTorusMap, OrbitEscapeError
 
 DEFAULT_HORIZONS = (1000, 10000)
+ESCAPE_BOUND = 1e9
 
 
 class WrongHomotopyClassError(ValueError):
@@ -60,37 +61,25 @@ def seed_grid(nx: int, ny: int) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
-def _advance(m: LiftedTorusMap, Z: np.ndarray, n: int) -> np.ndarray:
-    """f^n applied to a batch of points, with a coarse escape check."""
-    Z = np.asarray(Z, dtype=float)
-    for i in range(n):
-        Z = m.forward(Z)
-        if i % 256 == 0 and not np.all(np.abs(Z) <= DEFAULT_ESCAPE_BOUND):
-            raise OrbitEscapeError(Z)
-    return Z
-
-
-def birkhoff_mean(m: LiftedTorusMap, z, n: int) -> np.ndarray:
-    """(f^n(z) - z)/n; z may be a single point or a batch."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = np.asarray(z, dtype=float)
-    return (_advance(m, z, n) - z) / n
-
-
 def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
-    """Birkhoff means of a point or batch at n1 and n2, continuing the n1
-    iterates on to n2."""
+    """Birkhoff means of a batch at n1 and n2, continuing the n1 iterates on
+    to n2.  Each segment checks the escape bound every 256 steps from its
+    first step on."""
     n1, n2 = horizons
     if not (0 < n1 < n2):
         raise ValueError("horizons must satisfy 0 < n1 < n2")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty seed grid")
-    Z = _advance(m, z, n1)
-    mean1 = (Z - z) / n1
-    Z = _advance(m, Z, n2 - n1)
-    return mean1, (Z - z) / n2
+    Z, done, means = z, 0, []
+    for n in horizons:
+        for i in range(n - done):
+            Z = m.forward(Z)
+            if i % 256 == 0 and not np.all(np.abs(Z) <= ESCAPE_BOUND):
+                raise OrbitEscapeError(done + i + 1)
+        done = n
+        means.append((Z - z) / n)
+    return means
 
 
 def estimate_rotation_set(
@@ -139,33 +128,3 @@ def estimate_vertical_rotation_set(
         horizons=(n1, n2),
         hausdorff_gap=gap,
     )
-
-
-def rotation_vector_of_point(
-    m: LiftedTorusMap,
-    z,
-    horizons: tuple = DEFAULT_HORIZONS,
-    tol: float = 1e-4,
-):
-    """Pointwise rotation vector, or None when the two horizons disagree.
-
-    Identity class returns a plane vector; Dehn class a vertical number.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mean1, mean2 = _two_horizon_means(m, z, horizons)
-    if m.homotopy_class == "dehn":
-        if abs(mean1[..., 1] - mean2[..., 1]) < tol:
-            return float(mean2[..., 1])
-        return None
-    if np.linalg.norm(mean1 - mean2) < tol:
-        return mean2
-    return None
-
-
-def measure_rotation_vector(m: LiftedTorusMap, samples) -> np.ndarray:
-    """Mean one-step displacement f(z) - z over a sample cloud."""
-    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
-    return np.mean(m.forward(samples) - samples, axis=0)

@@ -388,11 +388,6 @@ def verify_deviation(orbit: BoundedDeviationOrbit, n_max: int) -> Fraction:
     return Fraction(max_sq, D * D)
 
 
-def max_deviation(orbit: BoundedDeviationOrbit, n_max: int) -> float:
-    """Float Euclidean norm of the exact max deviation up to n_max."""
-    return math.sqrt(float(verify_deviation(orbit, n_max)))
-
-
 def two_loop_example() -> WeightedSft:
     """One vertex with two self-loops of weights (1,0) and (0,1)."""
     return make_sft(1, [(0, 0, 1, 0), (0, 0, 0, 1)])

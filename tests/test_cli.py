@@ -242,6 +242,17 @@ def test_non_finite_image_exits_3(tmp_path, capsys, command, sizes):
     assert not (out / "manifest.json").exists()
 
 
+def test_orbit_escape_names_the_step_count(tmp_path, capsys):
+    # the first image past the bound is at step 15; the every-256-steps
+    # check first sees it after step 257
+    text = "[map]\nmap = standard\nk = 1e7\n[run]\ncommand = vrotset\n[vrotset]\ngrid = 8\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(tmp_path, text)
+    assert code == 3
+    assert "orbit escaped the coordinate bound after 257 steps" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_omega_probe_narrow_drift_range(tmp_path):
     # every drift is 500 * 0.1 up to rounding: too narrow a range for 20
     # distinct histogram edges
@@ -338,6 +349,17 @@ def test_histogram_matches_numpy_off_degenerate_ranges(values):
     counts, edges = cli._histogram(values, 20)
     ref_counts, ref_edges = np.histogram(values, bins=20)
     assert np.array_equal(counts, ref_counts) and np.array_equal(edges, ref_edges)
+
+
+@pytest.mark.parametrize(
+    "values",
+    # omega-probe drifts at k = 1e300: a 0.5 widening is below the spacing
+    [np.full(103, 8.471982252702795e297), np.array([-1e300, np.nextafter(-1e300, 0.0)])],
+)
+def test_histogram_widens_by_magnitude_at_large_scale(values):
+    counts, edges = cli._histogram(values, 20)
+    assert np.isfinite(edges).all() and np.all(np.diff(edges) > 0)
+    assert counts.sum() == len(values)
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -13,7 +13,7 @@ from torusdyn.confinement import (
     compute_confinement,
     omega_probe,
 )
-from torusdyn.maps import LiftedTorusMap, reflect_vertical
+from torusdyn.maps import LiftedTorusMap, area_residual
 
 SMALL = dict(window=((-1.0, 1.0), (-1.0, 1.0)), grid_step=1.0 / 16.0)
 
@@ -96,10 +96,53 @@ def test_unbounded_flags_match_per_component_loop(mode):
     assert any(flags.values()) and not all(flags.values())
 
 
+def _reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
+    """Conjugate by (x, y) -> (x, -y); swaps the south/north half planes."""
+    T = np.array([1.0, -1.0])
+
+    def fwd(z):
+        return m.forward(np.asarray(z, dtype=float) * T) * T
+
+    def inv(w):
+        return m.inverse(np.asarray(w, dtype=float) * T) * T
+
+    def jac(z):
+        J = m.jacobian(np.asarray(z, dtype=float) * T).copy()
+        J[..., 0, 1] *= -1.0
+        J[..., 1, 0] *= -1.0
+        return J
+
+    A = m.homotopy.copy()
+    A[0, 1] *= -1
+    A[1, 0] *= -1
+    return LiftedTorusMap(
+        name=m.name + "_vreflect",
+        params=dict(m.params),
+        homotopy=A,
+        forward=fwd,
+        inverse=inv,
+        jacobian=jac,
+        is_lift=m.is_lift,
+    )
+
+
+def test_reflect_vertical_is_involution_and_conjugate(std_k2):
+    r = _reflect_vertical(std_k2)
+    rr = _reflect_vertical(r)
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-1, 1, size=(50, 2))
+    assert np.allclose(rr.forward(z), std_k2.forward(z), atol=1e-14)
+    # conjugacy: r.forward = R o f o R with R = diag(1, -1)
+    R = np.array([1.0, -1.0])
+    assert np.allclose(r.forward(z), std_k2.forward(z * R) * R, atol=1e-14)
+    assert np.array_equal(r.homotopy, [[1, -1], [0, 1]])
+    assert area_residual(r, z) < 1e-12
+
+
 def test_south_equals_north_of_reflected_map():
     m = td.make_standard_map(0.3)
     south = compute_confinement(m, "south", horizon=30, **SMALL)
-    north = compute_confinement(reflect_vertical(m), "north", horizon=30, **SMALL)
+    north = compute_confinement(_reflect_vertical(m), "north", horizon=30, **SMALL)
     reflected = {(x, -y) for x, y in _point_set(north)}
     assert reflected == _point_set(south)
 

@@ -407,14 +407,6 @@ def test_segment_index_built_once_per_curve(monkeypatch):
     assert built == [39, 39]
 
 
-def test_closure_invariance_score_cases():
-    line = td.polyline_curve([[float(i), 0.0] for i in range(11)])
-    assert td.closure_invariance_score(line, (1, 0), ((0, 9), (-1, 1))) == 0.0
-    seg = td.polyline_curve([[0.0, 0.0], [0.0, 1.0]])
-    score = td.closure_invariance_score(seg, (1, 0), ((-2, 2), (-2, 2)))
-    assert score == pytest.approx(1.0)
-
-
 def test_mixing_probe_identity_and_translation():
     ident = td.make_identity_map()
     hits, n0 = td.mixing_probe(ident, ((0, 0), 1.0), ((0, 0), 1.0), n_max=20)

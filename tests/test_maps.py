@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import torusdyn as td
 from torusdyn.maps import (
-    OrbitEscapeError,
     area_residual,
     make_linear_saddle,
-    reflect_vertical,
     validate_homotopy,
 )
 
@@ -117,30 +113,6 @@ def test_jacobian_matches_finite_differences(std_k2):
         assert np.allclose(J[:, col], fd, atol=1e-6)
 
 
-@given(
-    k=st.floats(0.0, 3.0),
-    x=st.floats(-2.0, 2.0),
-    y=st.floats(-2.0, 2.0),
-    n=st.integers(1, 5),
-)
-@settings(max_examples=30, deadline=None)
-def test_iterate_roundtrip(k, x, y, n):
-    m = td.make_standard_map(k)
-    orbit = td.iterate(m, (x, y), n)
-    back = td.iterate(m, orbit[-1], -n)
-    assert np.linalg.norm(back[-1] - np.array([x, y])) < 1e-9 * n
-
-
-def test_iterate_shape_and_escape():
-    m = td.make_translation_map(1.0, 0.0)
-    orbit = td.iterate(m, (0.0, 0.0), 4)
-    assert orbit.shape == (5, 2)
-    assert np.allclose(orbit[:, 0], [0, 1, 2, 3, 4])
-    with pytest.raises(OrbitEscapeError) as exc:
-        td.iterate(m, (0.0, 0.0), 10, escape_bound=2.5)
-    assert len(exc.value.partial) == 3  # z, f(z), f^2(z) kept
-
-
 def test_eval_lift_rejects_nonfinite():
     m = td.make_translation_map(float("inf"), 0.0)
     with pytest.raises(FloatingPointError):
@@ -156,16 +128,3 @@ def test_inverted_map_swaps_rules(std_k2):
     # Jacobian of the inverse at f(z) is the inverse Jacobian at z
     w = std_k2.forward(z)
     assert np.allclose(inv.jacobian(w), np.linalg.inv(std_k2.jacobian(z)), atol=1e-10)
-
-
-def test_reflect_vertical_is_involution_and_conjugate(std_k2):
-    r = reflect_vertical(std_k2)
-    rr = reflect_vertical(r)
-    rng = np.random.default_rng(4)
-    z = rng.uniform(-1, 1, size=(50, 2))
-    assert np.allclose(rr.forward(z), std_k2.forward(z), atol=1e-14)
-    # conjugacy: r.forward = R o f o R with R = diag(1, -1)
-    R = np.array([1.0, -1.0])
-    assert np.allclose(r.forward(z), std_k2.forward(z * R) * R, atol=1e-14)
-    assert np.array_equal(r.homotopy, [[1, -1], [0, 1]])
-    assert area_residual(r, z) < 1e-12

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import torusdyn as td
 from torusdyn.geometry import distance_to_hull
+from torusdyn.maps import OrbitEscapeError
 from torusdyn.rotation import WrongHomotopyClassError
 
 
@@ -77,35 +78,17 @@ def test_hull_monotone_in_seed_set():
         assert distance_to_hull(p, pb) < 1e-9
 
 
-def test_rotation_vector_of_point():
-    m = td.make_translation_map(0.2, 0.1)
-    v = td.rotation_vector_of_point(m, (0.0, 0.0), (10, 100))
-    assert np.allclose(v, [0.2, 0.1], atol=1e-12)
-    # Dehn class returns the vertical number
-    s = td.make_standard_map(0.0)
-    r = td.rotation_vector_of_point(s, (0.3, 0.0), (10, 100))
-    assert r == 0.0
-    # chaotic orbit with an impossibly tight tolerance: horizons disagree
-    k2 = td.make_standard_map(2.0)
-    assert td.rotation_vector_of_point(k2, (0.3, 0.2), (10, 100), tol=1e-15) is None
-
-
-def test_measure_rotation_vector_k0():
-    m = td.make_standard_map(0.0)
-    n = 32
-    grid = td.seed_grid(n, n)
-    v = td.measure_rotation_vector(m, grid)
-    # one-step displacement is (y, 0); grid mean of y is (n-1)/(2n)
-    assert np.allclose(v, [(n - 1) / (2 * n), 0.0], atol=1e-14)
-
-
 def test_input_validation():
     m = td.make_identity_map()
     with pytest.raises(ValueError):
         td.estimate_rotation_set(m, np.empty((0, 2)), (5, 10))
     with pytest.raises(ValueError):
         td.estimate_rotation_set(m, td.seed_grid(2, 2), (10, 5))
-    with pytest.raises(ValueError):
-        td.birkhoff_mean(m, (0, 0), 0)
-    with pytest.raises(ValueError):
-        td.measure_rotation_vector(m, np.empty((0, 2)))
+
+
+def test_escape_step_counts_across_both_horizons():
+    # |x| first exceeds the 1e9 bound at step 1001, the second segment's
+    # first check
+    m = td.make_translation_map(1e6, 0.0)
+    with pytest.raises(OrbitEscapeError, match="after 1001 steps"):
+        td.estimate_rotation_set(m, [(0.0, 0.0)], (1000, 2000))

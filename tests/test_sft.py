@@ -16,7 +16,6 @@ from torusdyn.sft import (
     cycle_rotation_hull,
     cycle_weight,
     make_sft,
-    max_deviation,
     parse_sft,
     point_in_hull_interior,
     rational_hull,
@@ -93,7 +92,7 @@ def test_half_half_orbit_exact():
     assert orbit.period == 2
     assert sorted(orbit.word) == [0, 1]  # alternating loops
     assert orbit.max_deviation_sq == F(1, 2)
-    assert math.isclose(max_deviation(orbit, 10000), math.sqrt(0.5))
+    assert math.isclose(math.sqrt(float(verify_deviation(orbit, 10000))), math.sqrt(0.5))
     assert orbit.max_deviation_sq <= orbit.deviation_bound_sq
 
 
@@ -102,7 +101,7 @@ def test_third_two_thirds_orbit():
     assert orbit.period == 3
     assert sorted(orbit.word) == [0, 1, 1]
     # max edge weight norm is 1, so deviation stays within 2 * max||psi||
-    assert max_deviation(orbit, 10000) <= 2.0
+    assert math.sqrt(float(verify_deviation(orbit, 10000))) <= 2.0
 
 
 def test_word_mean_is_exact():
