@@ -9,6 +9,9 @@ boundary are the finite proxy for unbounded components.
 South and north clouds of a lift are computed on one grid column per class
 of x mod 1 and copied to the other columns of the class, so they are
 exactly 1-periodic in x.  Theta mode and non-lift maps iterate every column.
+
+Components are 4-connected and numbered from 1 in raster order of their
+first cell, by a numpy-only run-length labelling (`_label`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import CellIndex, convex_hull
 from .maps import LiftedTorusMap, eval_lift
@@ -74,8 +76,60 @@ def _half_plane(mode: str, theta: float | None):
     raise ValueError("mode must be one of %s" % ", ".join(MODES))
 
 
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: an int32 array with 0
+    off the mask and 1..n on it, numbered in raster order of each
+    component's first cell, and n.
+
+    The cells of each row fall into runs, numbered in raster order by one
+    cumsum.  Runs of adjacent rows that share a column are joined by hooking
+    the larger of two distinct roots onto the smaller and pointer jumping,
+    repeated until no edge joins two roots (Shiloach & Vishkin, J.
+    Algorithms 3, 1982).  Every root is then the first run of its component.
+    The work is on the list of cells, not the grid, since confinement masks
+    are sparse.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ncol = mask.shape[1]
+    cells = np.flatnonzero(mask)
+    # a cell starts a run unless its left neighbour in the row is a cell
+    starts = np.ones(len(cells), dtype=bool)
+    starts[1:] = (np.diff(cells) != 1) | (cells[1:] % ncol == 0)
+    run = np.cumsum(starts, dtype=np.int32)
+    n_runs = int(starts.sum())
+
+    # one edge from a run to the run below per stretch of columns where the
+    # two overlap: the run ids stay the same along it
+    below = np.searchsorted(cells, cells + ncol)
+    below[below == len(cells)] = 0
+    edge = cells[below] == cells + ncol
+    edge[1:] &= starts[1:] | ~edge[:-1]
+    a, b = run[edge], run[below[edge]]
+
+    parent = np.arange(n_runs + 1, dtype=np.int32)
+    while True:
+        ra, rb = parent[a], parent[b]
+        join = ra != rb
+        if not join.any():
+            break
+        a, b, ra, rb = a[join], b[join], ra[join], rb[join]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+    is_root = parent == np.arange(n_runs + 1)
+    is_root[0] = False
+    number = np.cumsum(is_root, dtype=np.int32)
+    lab = np.zeros(mask.shape, dtype=np.int32)
+    lab.flat[cells] = number[parent[run]]
+    return lab, int(number[-1])
+
+
 def _boundary_flags(lab: np.ndarray, n: int) -> np.ndarray:
-    """One scan of the edge rows and columns of an `ndimage.label` array:
+    """One scan of the edge rows and columns of a `_label` array:
     entry cid is True when component cid has a cell on the grid boundary."""
     on_boundary = np.zeros(n + 1, dtype=bool)
     on_boundary[lab[[0, -1], :]] = True
@@ -132,7 +186,7 @@ def compute_confinement(
     rep_mask = np.zeros(X.shape, dtype=bool)
     rep_mask.flat[flat] = True
     mask = rep_mask[col]
-    lab, n = ndimage.label(mask)
+    lab, n = _label(mask)
     on_boundary = _boundary_flags(lab, n)
     index = np.argwhere(mask)
     return ConfinementCloud(
@@ -170,21 +224,27 @@ def omega_probe(
     d, ok = _half_plane(cloud.mode, cloud.theta)
     (x0, x1), (y0, y1) = cloud.window
 
-    # points whose later iterates break the inequality were finite-horizon
-    # artifacts, not members of the confinement set; drop them from the stats
-    alive = np.ones(len(pts), dtype=bool)
-    inside = np.ones(len(pts), dtype=bool)
+    # running extremes over steps 1..extra_iterations: per coordinate, and of
+    # <Z, d> in theta mode
+    lo = np.full(pts.shape, np.inf)
+    hi = np.full(pts.shape, -np.inf)
+    low_dot = np.full(len(pts), np.inf) if cloud.mode == "theta" else None
     Z = pts.copy()
     for _ in range(extra_iterations):
         Z = m.forward(Z)
-        alive &= ok(Z)
-        inside &= (
-            (Z[:, 0] >= x0) & (Z[:, 0] <= x1) & (Z[:, 1] >= y0) & (Z[:, 1] <= y1)
-        )
+        np.minimum(lo, Z, out=lo)
+        np.maximum(hi, Z, out=hi)
+        if low_dot is not None:
+            np.minimum(low_dot, Z @ d, out=low_dot)
     # the map rules carry a non-finite coordinate on to every later image,
     # so checking the last iterate catches one from any step
     if not np.isfinite(Z).all():
         raise FloatingPointError("non-finite image (parameter overflow?)")
+    # points whose later iterates break the inequality were finite-horizon
+    # artifacts, not members of the confinement set; drop them from the stats.
+    # South and north test one coordinate, so its two extremes decide.
+    alive = low_dot >= 0.0 if low_dot is not None else ok(lo) & ok(hi)
+    inside = (lo[:, 0] >= x0) & (hi[:, 0] <= x1) & (lo[:, 1] >= y0) & (hi[:, 1] <= y1)
     drifts = (Z[alive] - pts[alive]) @ d / extra_iterations
     if np.any(alive & inside):
         verdict = "persistent"  # some orbit never left the window
@@ -219,15 +279,18 @@ def complement_disk_stats(
     centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
     free = np.ones(X.shape, dtype=bool)
     free.flat[CellIndex(obstacle, grid_step).pairs(centers, grid_step)[0]] = False
-    lab, n = ndimage.label(free)
+    lab, n = _label(free)
     on_boundary = _boundary_flags(lab, n)
-    cells = ndimage.value_indices(lab, ignore_value=0)
+    # flat cell indices of each component in raster order: a stable sort by
+    # label, split where the label changes
+    flat = lab.ravel()
+    order = np.argsort(flat, kind="stable")
+    cells = np.split(order, np.cumsum(np.bincount(flat, minlength=n + 1))[:-1])
     disks = []
     max_d = 0.0
     for cid in range(1, n + 1):
-        rows, cols = cells[cid]
         touches = bool(on_boundary[cid])
-        diam = _diameter(np.stack([xs[rows], ys[cols]], axis=-1))
+        diam = _diameter(centers[cells[cid]])
         disks.append((cid, diam, touches))
         if not touches:
             max_d = max(max_d, diam)

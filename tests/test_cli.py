@@ -328,8 +328,9 @@ def test_wrong_homotopy_class_exits_2(tmp_path, capsys, command, map_name):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_cli_import_loads_no_scipy_spatial():
-    code = "import sys, torusdyn.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+@pytest.mark.parametrize("module", ["torusdyn", "torusdyn.cli"])
+def test_import_loads_no_scipy(module):
+    code = "import sys, %s; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])" % module
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code],

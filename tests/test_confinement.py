@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import torusdyn as td
@@ -9,6 +12,7 @@ from torusdyn.confinement import (
     ConfinementCloud,
     _boundary_flags,
     _half_plane,
+    _label,
     complement_disk_stats,
     compute_confinement,
     omega_probe,
@@ -260,6 +264,106 @@ def test_non_lift_cloud_is_not_deduplicated():
     mask = np.zeros(want.grid_shape, dtype=bool)
     mask[tuple(want.index.T)] = True
     assert not np.array_equal(mask[32:48], mask[48:64])  # x in [0, 1) vs [1, 2)
+
+
+def _assert_same_labels(mask):
+    lab, n = _label(mask)
+    ref, ref_n = ndimage.label(mask)
+    assert n == ref_n
+    assert lab.dtype == ref.dtype == np.int32
+    np.testing.assert_array_equal(lab, ref)
+
+
+mask_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+)
+
+
+@given(arrays(bool, mask_shapes))
+@settings(max_examples=200, deadline=None)
+def test_label_matches_ndimage_on_random_masks(mask):
+    _assert_same_labels(mask)
+
+
+def _serpentine(n):
+    """Full columns joined at alternate ends into one path of n columns."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1, 1::4] = True
+    mask[0, 3::4] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.zeros((6, 9), dtype=bool),
+        np.ones((6, 9), dtype=bool),
+        np.indices((9, 8)).sum(axis=0) % 2 == 0,  # diagonal cells stay apart
+        _serpentine(257),
+        _serpentine(257).T,
+    ],
+    ids=["empty", "full", "checkerboard", "serpentine", "serpentine_rows"],
+)
+def test_label_matches_ndimage_on_fixed_masks(mask):
+    _assert_same_labels(mask)
+
+
+def test_label_matches_ndimage_on_default_south_cloud(std_k2):
+    cloud = compute_confinement(std_k2, "south")
+    mask = np.zeros(cloud.grid_shape, dtype=bool)
+    mask[tuple(cloud.index.T)] = True
+    assert len(cloud.points) == 26166
+    _assert_same_labels(mask)
+
+
+def _reference_omega_probe(cloud, m, extra_iterations):
+    """Reference probe: tests every iterate against the half plane and the
+    window."""
+    pts = cloud.candidate_unbounded_points()
+    d, ok = _half_plane(cloud.mode, cloud.theta)
+    (x0, x1), (y0, y1) = cloud.window
+    alive = np.ones(len(pts), dtype=bool)
+    inside = np.ones(len(pts), dtype=bool)
+    Z = pts.copy()
+    for _ in range(extra_iterations):
+        Z = m.forward(Z)
+        alive &= ok(Z)
+        inside &= (Z[:, 0] >= x0) & (Z[:, 0] <= x1) & (Z[:, 1] >= y0) & (Z[:, 1] <= y1)
+    if not np.isfinite(Z).all():
+        raise FloatingPointError("non-finite image")
+    drifts = (Z[alive] - pts[alive]) @ d / extra_iterations
+    if np.any(alive & inside):
+        verdict = "persistent"
+    elif len(drifts) == 0 or np.mean(drifts > 1e-3) >= 0.99:
+        verdict = "escaping"
+    else:
+        verdict = "persistent"
+    return verdict, drifts
+
+
+@pytest.mark.parametrize(
+    "mode, theta", [("south", None), ("north", None), ("theta", 0.3), ("theta", 2.0)]
+)
+@pytest.mark.parametrize("k, epsilon", [(2.0, 0.0), (0.3, 0.01)])
+def test_omega_probe_matches_per_step_reference(mode, theta, k, epsilon):
+    m = td.make_standard_map(k, epsilon)
+    cloud = compute_confinement(m, mode, theta=theta, **DECK)
+    assert len(cloud.candidate_unbounded_points()) <= 2000  # no subsampling
+    verdict, drifts = omega_probe(cloud, m, 1000)
+    ref_verdict, ref_drifts = _reference_omega_probe(cloud, m, 1000)
+    assert verdict == ref_verdict
+    assert drifts.tobytes() == ref_drifts.tobytes()
+
+
+@pytest.mark.parametrize("mode, theta", [("south", None), ("theta", 0.3)])
+def test_omega_probe_non_finite_image_raises(std_k2, mode, theta):
+    cloud = compute_confinement(std_k2, mode, theta=theta, **DECK)
+    assert len(cloud.candidate_unbounded_points()) > 0
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        omega_probe(cloud, td.make_standard_map(1e308), 50)
 
 
 def test_omega_probe_k0_persistent():
