@@ -25,11 +25,16 @@ def main():
     m = td.make_standard_map(args.k, args.epsilon)
     rng = np.random.default_rng(args.seed)
     Z = rng.uniform(0, 1, size=(args.orbits, 2))
-    pts = [Z % 1.0]
-    for _ in range(args.iters):
-        Z = m.forward(Z)
-        pts.append(Z % 1.0)
-    cloud = np.concatenate(pts)
+    # iterate on (x mod 1, y): the lift moves z + (1, 0) to f(z) + (1, 0)
+    x, y = Z[:, 0].copy(), Z[:, 1].copy()
+    cloud = np.empty((args.iters + 1, args.orbits, 2))
+    cloud[0] = Z
+    for row in cloud[1:]:
+        m.step(x, y)
+        x -= np.floor(x)
+        row[:, 0] = x
+        row[:, 1] = y % 1.0
+    cloud = cloud.reshape(-1, 2)
 
     c = SvgCanvas((0.0, 1.0), (0.0, 1.0), width=700, height=700)
     c.frame()

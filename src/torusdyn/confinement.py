@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CellIndex, convex_hull
-from .maps import LiftedTorusMap, eval_lift
+from .maps import LiftedTorusMap, require_finite
 
 MODES = ("theta", "south", "north")
 DEFAULT_WINDOW = ((-4.0, 4.0), (-4.0, 4.0))
@@ -63,16 +63,21 @@ class DiskReport:
     max_diameter: float  # max over non-boundary-touching components
 
 
+def _project(x, y, d) -> np.ndarray:
+    """<(x, y), d> per point, rounded as the (n, 2) @ d product rounds it."""
+    return np.stack([x, y], axis=-1) @ d
+
+
 def _half_plane(mode: str, theta: float | None):
     """Direction d of the mode's half plane <z, d> >= 0 and its predicate
-    ok(Z), one bool per row of Z."""
+    ok(x, y), one bool per point of split coordinate arrays."""
     if mode == "theta":
         d = np.array([np.cos(theta), np.sin(theta)])
-        return d, lambda Z: Z @ d >= 0.0
+        return d, lambda x, y: _project(x, y, d) >= 0.0
     if mode == "south":
-        return np.array([0.0, -1.0]), lambda Z: Z[:, 1] <= 0.0
+        return np.array([0.0, -1.0]), lambda x, y: y <= 0.0
     if mode == "north":
-        return np.array([0.0, 1.0]), lambda Z: Z[:, 1] >= 0.0
+        return np.array([0.0, 1.0]), lambda x, y: y >= 0.0
     raise ValueError("mode must be one of %s" % ", ".join(MODES))
 
 
@@ -170,18 +175,19 @@ def compute_confinement(
     key = xs - np.floor(xs) if mode != "theta" and m.is_lift else xs
     reps, col = np.unique(key, return_inverse=True)
     X, Y = np.meshgrid(reps, ys, indexing="ij")
-    grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
     # survivors are carried as flat indices of the class grid next to their
     # iterates
-    flat = np.flatnonzero(ok(grid))
-    Z = grid[flat]
+    gx, gy = X.ravel(), Y.ravel()
+    flat = np.flatnonzero(ok(gx, gy))
+    x, y = gx[flat], gy[flat]
     for _ in range(horizon):
-        if len(Z) == 0:
+        if len(flat) == 0:
             break
-        Z = eval_lift(m, Z)
-        alive = ok(Z)
-        flat, Z = flat[alive], Z[alive]
+        m.step(x, y)
+        require_finite(x, y)
+        alive = ok(x, y)
+        flat, x, y = flat[alive], x[alive], y[alive]
 
     rep_mask = np.zeros(X.shape, dtype=bool)
     rep_mask.flat[flat] = True
@@ -225,26 +231,28 @@ def omega_probe(
     (x0, x1), (y0, y1) = cloud.window
 
     # running extremes over steps 1..extra_iterations: per coordinate, and of
-    # <Z, d> in theta mode
-    lo = np.full(pts.shape, np.inf)
-    hi = np.full(pts.shape, -np.inf)
+    # <z, d> in theta mode
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    lo_x, lo_y = np.full(len(pts), np.inf), np.full(len(pts), np.inf)
+    hi_x, hi_y = np.full(len(pts), -np.inf), np.full(len(pts), -np.inf)
     low_dot = np.full(len(pts), np.inf) if cloud.mode == "theta" else None
-    Z = pts.copy()
     for _ in range(extra_iterations):
-        Z = m.forward(Z)
-        np.minimum(lo, Z, out=lo)
-        np.maximum(hi, Z, out=hi)
+        m.step(x, y)
+        np.minimum(lo_x, x, out=lo_x)
+        np.minimum(lo_y, y, out=lo_y)
+        np.maximum(hi_x, x, out=hi_x)
+        np.maximum(hi_y, y, out=hi_y)
         if low_dot is not None:
-            np.minimum(low_dot, Z @ d, out=low_dot)
+            np.minimum(low_dot, _project(x, y, d), out=low_dot)
     # the map rules carry a non-finite coordinate on to every later image,
     # so checking the last iterate catches one from any step
-    if not np.isfinite(Z).all():
-        raise FloatingPointError("non-finite image (parameter overflow?)")
+    require_finite(x, y)
     # points whose later iterates break the inequality were finite-horizon
     # artifacts, not members of the confinement set; drop them from the stats.
     # South and north test one coordinate, so its two extremes decide.
-    alive = low_dot >= 0.0 if low_dot is not None else ok(lo) & ok(hi)
-    inside = (lo[:, 0] >= x0) & (hi[:, 0] <= x1) & (lo[:, 1] >= y0) & (hi[:, 1] <= y1)
+    alive = low_dot >= 0.0 if low_dot is not None else ok(lo_x, lo_y) & ok(hi_x, hi_y)
+    inside = (lo_x >= x0) & (hi_x <= x1) & (lo_y >= y0) & (hi_y <= y1)
+    Z = np.stack([x, y], axis=-1)
     drifts = (Z[alive] - pts[alive]) @ d / extra_iterations
     if np.any(alive & inside):
         verdict = "persistent"  # some orbit never left the window

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import CellIndex
-from .maps import LiftedTorusMap, eval_lift
+from .maps import LiftedTorusMap, require_finite
 from .periodic import PeriodicPoint
 
 DEFAULT_H_MAX = 1e-3
@@ -502,10 +502,12 @@ def mixing_probe(
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     pts = pts[np.linalg.norm(pts, axis=1) <= ru] + cu
     hits = np.zeros(n_max + 1, dtype=bool)
-    Z = pts
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
     for n in range(1, n_max + 1):
-        Z = eval_lift(m, Z)
-        hits[n] = bool(np.any(np.linalg.norm(Z - cv, axis=1) <= rv))
+        m.step(x, y)
+        require_finite(x, y)
+        dx, dy = x - cv[0], y - cv[1]
+        hits[n] = bool(np.any(np.sqrt(dx * dx + dy * dy) <= rv))
     n0 = None
     if hits[n_max]:
         n = n_max

@@ -4,6 +4,13 @@ A lift satisfies f(z + v) = f(z) + A @ v for every integer vector v, where A
 is either the identity or a Dehn-twist matrix [[1, k], [0, 1]].  All shipped
 maps come with closed-form forward, inverse and Jacobian rules that accept
 numpy arrays of shape (..., 2).
+
+Orbit loops advance their points with the map's in-place rule
+``step(x, y)``: x and y are float64 arrays of one shape, owned by the loop,
+and after the call they hold the image under ``forward``, bit for bit.  The
+standard map supplies a fused step, and its ``forward`` is that step on a
+copy; any other map gets a step that stacks (x, y), calls ``forward`` and
+writes the image back.
 """
 
 from __future__ import annotations
@@ -52,9 +59,12 @@ class LiftedTorusMap:
     """A plane map covering a torus map, with closed-form rules.
 
     ``forward``, ``inverse`` map arrays of shape (..., 2) to the same shape;
-    ``jacobian`` maps them to shape (..., 2, 2).  ``is_lift`` is False for
-    test maps (e.g. the linear saddle) that do not satisfy the deck
-    equivariance contract; such maps are excluded from lift validation.
+    ``jacobian`` maps them to shape (..., 2, 2).  ``step(x, y)`` overwrites
+    split x and y arrays with their ``forward`` image; left out, it is
+    derived from ``forward`` (``dataclasses.replace`` keeps the step it was
+    given).  ``is_lift`` is False for test maps (e.g. the linear saddle)
+    that do not satisfy the deck equivariance contract; such maps are
+    excluded from lift validation.
     """
 
     name: str
@@ -64,9 +74,12 @@ class LiftedTorusMap:
     inverse: Callable[[np.ndarray], np.ndarray] = None
     jacobian: Callable[[np.ndarray], np.ndarray] = None
     is_lift: bool = True
+    step: Callable[[np.ndarray, np.ndarray], None] = None
 
     def __post_init__(self):
         object.__setattr__(self, "homotopy", validate_homotopy(self.homotopy))
+        if self.step is None:
+            object.__setattr__(self, "step", _step_from_forward(self.forward))
 
     @property
     def homotopy_class(self) -> str:
@@ -92,6 +105,17 @@ class LiftedTorusMap:
         )
 
 
+def _step_from_forward(forward):
+    """In-place step(x, y) that writes back forward's image of (x, y)."""
+
+    def step(x, y):
+        w = forward(np.stack([x, y], axis=-1))
+        x[...] = w[..., 0]
+        y[...] = w[..., 1]
+
+    return step
+
+
 def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
     """Lift of the Chirikov standard map family, with vertical perturbation.
 
@@ -101,11 +125,23 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
     k = float(k)
     epsilon = float(epsilon)
 
+    def step(x, y):
+        # rounds as the closed form: s = k sin(2 pi x), then (x + y) + s and
+        # (y + s) + epsilon
+        s = np.empty_like(x)
+        np.multiply(TWO_PI, x, out=s)
+        np.sin(s, out=s)
+        s *= k
+        x += y
+        x += s
+        y += s
+        y += epsilon
+
     def fwd(z):
         z = np.asarray(z, dtype=float)
-        x, y = z[..., 0], z[..., 1]
-        s = k * np.sin(TWO_PI * x)
-        return np.stack([x + y + s, y + s + epsilon], axis=-1)
+        x, y = z[..., 0].copy(), z[..., 1].copy()
+        step(x, y)
+        return np.stack([x, y], axis=-1)
 
     def inv(w):
         w = np.asarray(w, dtype=float)
@@ -132,6 +168,7 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
         forward=fwd,
         inverse=inv,
         jacobian=jac,
+        step=step,
     )
 
 
@@ -247,11 +284,16 @@ BUILTIN_MAPS = {
 }
 
 
+def require_finite(*arrays):
+    """Raise FloatingPointError unless every entry of every array is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError("non-finite image (parameter overflow?)")
+
+
 def eval_lift(m: LiftedTorusMap, z) -> np.ndarray:
     """Forward image under the lift; raises on non-finite result."""
     w = m.forward(np.asarray(z, dtype=float))
-    if not np.isfinite(w).all():
-        raise FloatingPointError("non-finite image (parameter overflow?)")
+    require_finite(w)
     return w
 
 

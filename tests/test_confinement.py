@@ -164,13 +164,13 @@ def _all_columns_mask(m, mode, xs, ys, horizon, theta=None):
     _, ok = _half_plane(mode, theta)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    flat = np.flatnonzero(ok(grid))
+    flat = np.flatnonzero(ok(grid[:, 0], grid[:, 1]))
     Z = grid[flat]
     for _ in range(horizon):
         if len(Z) == 0:
             break
         Z = m.forward(Z)
-        alive = ok(Z)
+        alive = ok(Z[:, 0], Z[:, 1])
         flat, Z = flat[alive], Z[alive]
     mask = np.zeros(X.shape, dtype=bool)
     mask.flat[flat] = True
@@ -248,6 +248,16 @@ def test_grid_without_shared_classes_matches_all_columns_reference():
     kw = dict(DECK, window=((0.0, 0.9), (-2.0, 1.5)))
     _assert_same_cloud(
         compute_confinement(m, "south", **kw), _reference_cloud(m, "south", **kw)
+    )
+
+
+@pytest.mark.parametrize("mode, theta", [("south", None), ("north", None), ("theta", 0.3)])
+def test_k2_cloud_on_one_strip_matches_plane_loop_reference(std_k2, mode, theta):
+    # every column in [0, 1) is its own class, so the cloud is iterated
+    # column by column like the reference
+    kw = dict(DECK, window=((0.0, 0.9), (-2.0, 1.5)), theta=theta)
+    _assert_same_cloud(
+        compute_confinement(std_k2, mode, **kw), _reference_cloud(std_k2, mode, **kw)
     )
 
 
@@ -330,7 +340,7 @@ def _reference_omega_probe(cloud, m, extra_iterations):
     Z = pts.copy()
     for _ in range(extra_iterations):
         Z = m.forward(Z)
-        alive &= ok(Z)
+        alive &= ok(Z[:, 0], Z[:, 1])
         inside &= (Z[:, 0] >= x0) & (Z[:, 0] <= x1) & (Z[:, 1] >= y0) & (Z[:, 1] <= y1)
     if not np.isfinite(Z).all():
         raise FloatingPointError("non-finite image")

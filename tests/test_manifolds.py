@@ -415,3 +415,28 @@ def test_mixing_probe_identity_and_translation():
     hits, n0 = td.mixing_probe(shift, ((0, 0), 1.0), ((0, 0), 1.0), n_max=20)
     assert n0 is None
     assert hits[1:].sum() <= 3  # only finitely many early hits
+
+
+def _plane_mixing_hits(m, ball_u, ball_v, n_max):
+    """Reference: per-n hits of the ball samples iterated as (n, 2) arrays."""
+    cu, ru = np.asarray(ball_u[0], float), float(ball_u[1])
+    cv, rv = np.asarray(ball_v[0], float), float(ball_v[1])
+    g = np.arange(-manifolds.MIXING_SAMPLES_PER_RADIUS, manifolds.MIXING_SAMPLES_PER_RADIUS + 1)
+    g = g * (ru / manifolds.MIXING_SAMPLES_PER_RADIUS)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    Z = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    Z = Z[np.linalg.norm(Z, axis=1) <= ru] + cu
+    hits = np.zeros(n_max + 1, dtype=bool)
+    for n in range(1, n_max + 1):
+        Z = m.forward(Z)
+        hits[n] = bool(np.any(np.linalg.norm(Z - cv, axis=1) <= rv))
+    return hits
+
+
+@pytest.mark.parametrize("ball_v", [((0.0, 0.0), 0.3), ((-1.0, 0.1), 0.2), ((4.0, 0.0), 0.5)])
+def test_mixing_hits_match_plane_loop_reference(std_k2, ball_v):
+    ball_u = ((0.05, 0.02), 0.2)
+    hits, _ = td.mixing_probe(std_k2, ball_u, ball_v, n_max=60)
+    want = _plane_mixing_hits(std_k2, ball_u, ball_v, 60)
+    np.testing.assert_array_equal(hits, want)
+    assert want[1:].any()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import torusdyn as td
 from torusdyn.maps import (
@@ -128,3 +131,51 @@ def test_inverted_map_swaps_rules(std_k2):
     # Jacobian of the inverse at f(z) is the inverse Jacobian at z
     w = std_k2.forward(z)
     assert np.allclose(inv.jacobian(w), np.linalg.inv(std_k2.jacobian(z)), atol=1e-10)
+
+
+def _pair(shape):
+    coord = st.floats(-1e8, 1e8, allow_subnormal=False) | st.sampled_from([0.0, -0.0])
+    return st.tuples(arrays(np.float64, shape, elements=coord), arrays(np.float64, shape, elements=coord))
+
+
+_BATCHES = st.sampled_from([(), (1,), (4096,)]).flatmap(_pair)
+_NONZERO = st.floats(-1.0, 1.0).filter(lambda e: e != 0.0)
+
+
+@given(xy=_BATCHES, k=st.floats(-3.0, 3.0), eps=_NONZERO)
+@settings(max_examples=60, deadline=None)
+def test_standard_step_matches_forward_bit_for_bit(xy, k, eps):
+    x, y = xy
+    m = td.make_standard_map(k, eps)
+    want = m.forward(np.stack([x, y], axis=-1))
+    # the closed form, written out once more
+    s = k * np.sin(TWO_PI * x)
+    formula = np.stack([x + y + s, y + s + eps], axis=-1)
+    assert want.tobytes() == formula.tobytes()
+    sx, sy = x.copy(), y.copy()
+    m.step(sx, sy)
+    assert sx.tobytes() == want[..., 0].tobytes()
+    assert sy.tobytes() == want[..., 1].tobytes()
+
+
+@given(xy=_BATCHES, k=st.floats(-3.0, 3.0), eps=_NONZERO)
+@settings(max_examples=30, deadline=None)
+def test_inverted_step_matches_inverse(xy, k, eps):
+    x, y = xy
+    m = td.make_standard_map(k, eps)
+    want = m.inverse(np.stack([x, y], axis=-1))
+    m.inverted().step(x, y)
+    assert x.tobytes() == want[..., 0].tobytes()
+    assert y.tobytes() == want[..., 1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [td.make_translation_map(0.3, -0.1), td.make_drift_shear(0.4), make_linear_saddle(2.0)],
+    ids=lambda m: m.name,
+)
+def test_derived_step_writes_forward_image(m):
+    z = np.random.default_rng(3).uniform(-5, 5, size=(64, 2))
+    x, y = z[:, 0].copy(), z[:, 1].copy()
+    m.step(x, y)
+    np.testing.assert_array_equal(np.stack([x, y], axis=-1), m.forward(z))

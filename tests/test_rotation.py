@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import torusdyn as td
 from torusdyn.geometry import distance_to_hull
-from torusdyn.maps import OrbitEscapeError
-from torusdyn.rotation import WrongHomotopyClassError
+from torusdyn.maps import LiftedTorusMap, OrbitEscapeError
+from torusdyn.rotation import WrongHomotopyClassError, _two_horizon_means
 
 
 def test_translation_map_singleton_hull():
@@ -92,3 +92,57 @@ def test_escape_step_counts_across_both_horizons():
     m = td.make_translation_map(1e6, 0.0)
     with pytest.raises(OrbitEscapeError, match="after 1001 steps"):
         td.estimate_rotation_set(m, [(0.0, 0.0)], (1000, 2000))
+
+
+def test_escape_in_a_segments_last_steps_is_reported():
+    # |x| = 1.1e9 first at step 10, the last step of the second segment and
+    # no multiple of 256 steps past a segment start
+    m = td.make_translation_map(1.1e8, 0.0)
+    with pytest.raises(OrbitEscapeError, match="after 10 steps"):
+        td.estimate_rotation_set(m, [(0.0, 0.0)], (5, 10))
+    with pytest.raises(OrbitEscapeError, match="after 262 steps"):
+        td.estimate_rotation_set(m, [(0.0, 0.0)], (5, 1000))
+
+
+def _plane_means(m, z, horizons):
+    """Reference: Birkhoff means of the orbits iterated in plane coordinates."""
+    z = np.asarray(z, dtype=float)
+    Z, done, means = z, 0, []
+    for n in horizons:
+        for _ in range(n - done):
+            Z = m.forward(Z)
+        done = n
+        means.append((Z - z) / n)
+    return means
+
+
+DYADIC = td.seed_grid(16, 16)
+
+
+@given(a=st.integers(-(2**20), 2**20))
+@settings(max_examples=8, deadline=None)
+def test_vertical_means_are_deck_invariant_bit_for_bit(std_k2, a):
+    want = _two_horizon_means(std_k2, DYADIC, (100, 1000))
+    got = _two_horizon_means(std_k2, DYADIC + (a, 0), (100, 1000))
+    for w, g in zip(want, got):
+        assert g[:, 1].tobytes() == w[:, 1].tobytes()
+
+
+def test_plane_loop_is_not_deck_invariant(std_k2):
+    # the sine of a large unreduced x rounds differently, and the chaos
+    # amplifies it; the reduced loop above does not see the shift
+    want = _plane_means(std_k2, DYADIC, (100, 1000))[1][:, 1]
+    shifted = _plane_means(std_k2, DYADIC + (2**20, 0), (100, 1000))[1][:, 1]
+    assert not np.array_equal(shifted, want)
+
+
+def test_non_lift_means_equal_plane_loop():
+    # the vertical step grows with x, so x must not be reduced
+    def fwd(z):
+        z = np.asarray(z, dtype=float)
+        return np.stack([z[..., 0], z[..., 1] + 0.05 * z[..., 0]], axis=-1)
+
+    m = LiftedTorusMap(name="x_drift", forward=fwd, is_lift=False)
+    seeds = DYADIC * 3.0 - 1.0
+    for got, want in zip(_two_horizon_means(m, seeds, (5, 300)), _plane_means(m, seeds, (5, 300))):
+        assert got.tobytes() == want.tobytes()
