@@ -171,8 +171,7 @@ def _tangle_svg(path, wu, ws, witnesses=()):
     c.frame()
     c.polyline(wu.vertices, color="#c03030", width=0.6)
     c.polyline(ws.vertices, color="#3060c0", width=0.6)
-    for w in witnesses:
-        c.circles([w.location], r=3.0, color="#208020")
+    c.circles([w.location for w in witnesses], r=3.0, color="#208020")
     c.save(path)
 
 

@@ -25,6 +25,12 @@ ROOT = Path(__file__).resolve().parents[1]
             ["rotscan.csv", "rotscan.svg"],
             id="rotation_interval_scan",
         ),
+        pytest.param(
+            "rotation_interval_scan.py",
+            ["--steps", "1", "--grid", "4", "--n1", "5", "--n2", "10", "--out-prefix", "rotscan"],
+            ["rotscan.csv", "rotscan.svg"],
+            id="rotation_interval_scan_one_step",
+        ),
     ],
 )
 def test_script_smoke_run(tmp_path, script, args, outputs):
@@ -38,3 +44,5 @@ def test_script_smoke_run(tmp_path, script, args, outputs):
     assert done.returncode == 0, done.stderr
     for name in outputs:
         assert (tmp_path / name).is_file()
+        if name.endswith(".svg"):
+            assert "nan" not in (tmp_path / name).read_text()
