@@ -5,7 +5,6 @@ their structural properties."""
 from .maps import (
     LiftedTorusMap,
     deck_residual,
-    eval_lift,
     make_drift_shear,
     make_identity_map,
     make_linear_saddle,

@@ -32,7 +32,7 @@ from . import manifolds as mfd
 from . import maps, periodic, rotation, sft
 from .config import ConfigError, RunConfig, build_map, parse_config
 from .report import child_rng, write_csv, write_json, write_manifest
-from .svg import SvgCanvas
+from .svg import SvgCanvas, widen_range
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -252,31 +252,24 @@ def _make_cloud(m, cfg):
     )
 
 
-def _histogram(values: np.ndarray, bins: int):
-    """np.histogram, widening a range too narrow for `bins` distinct edges
-    by 0.5 each way, as numpy itself does for a zero range, or by half the
-    largest magnitude where 0.5 is below the float spacing."""
-    lo, hi = float(values.min()), float(values.max())
-    for w in (0.0, 0.5, 0.5 * max(abs(lo), abs(hi))):
-        if np.all(np.diff(np.linspace(lo - w, hi + w, bins + 1)) > 0):
-            break
-    return np.histogram(values, bins=bins, range=(lo - w, hi + w))
-
-
 def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
     m = build_map(cfg)
     cloud = _make_cloud(m, cfg)
     verdict, drifts = conf.omega_probe(cloud, m, cfg.get("omega", "extra"))
     # no sample survived: null range, empty histogram
-    counts, edges = _histogram(drifts, 20) if len(drifts) else ([], [])
+    lo = hi = None
+    counts, edges = [], []
+    if len(drifts):
+        lo, hi = float(drifts.min()), float(drifts.max())
+        counts, edges = np.histogram(drifts, 20, range=widen_range(lo, hi, 20))
     write_json(
         outdir / "omega.json",
         {
             "mode": cloud.mode,
             "verdict": verdict,
             "samples": len(drifts),
-            "drift_min": float(drifts.min()) if len(drifts) else None,
-            "drift_max": float(drifts.max()) if len(drifts) else None,
+            "drift_min": lo,
+            "drift_max": hi,
             "drift_histogram": {"counts": counts, "edges": edges},
         },
     )

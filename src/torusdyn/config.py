@@ -2,7 +2,8 @@
 
 Unknown keys and bad values, among them a size, count or tolerance that is
 not positive, a map parameter, seed point, angle or ball centre that is
-not finite and rotation horizons with n1 >= n2, are rejected with their
+not finite, a zero linear-saddle `lam`, rotation horizons with n1 >= n2
+and a [disks] region too small to hold a cell, are rejected with their
 line number; duplicate keys follow a last-wins policy and are recorded as
 warnings for the run manifest.
 """
@@ -78,12 +79,26 @@ def _finite_float(s: str) -> float:
     return value
 
 
+def _nonzero_float(s: str) -> float:
+    value = _finite_float(s)
+    if value == 0.0:
+        raise ValueError("must be nonzero, got %r" % value)
+    return value
+
+
 def _parse_rho(s: str):
     parts = s.split(",")
     if len(parts) != 2:
         raise ValueError("rho must be 'px/qx,py/qy'")
     return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
 
+
+# seed grid and horizons of a rotation estimate, read by [rotset] and [vrotset]
+_ROTATION_KEYS = {
+    "grid": (_positive_int, 64),
+    "n1": (_positive_int, 1000),
+    "n2": (_positive_int, 10000),
+}
 
 # section -> key -> (parser, default); None default means required-if-used
 SCHEMA = {
@@ -94,23 +109,15 @@ SCHEMA = {
         "a": (_finite_float, 0.0),
         "b": (_finite_float, 0.0),
         "d": (_finite_float, 0.5),
-        "lam": (_finite_float, 2.0),
+        "lam": (_nonzero_float, 2.0),
     },
     "run": {
         "command": (_choice(COMMANDS), None),
         "rng_seed": (int, 0),
         "out": (str, None),
     },
-    "rotset": {
-        "grid": (_positive_int, 64),
-        "n1": (_positive_int, 1000),
-        "n2": (_positive_int, 10000),
-    },
-    "vrotset": {
-        "grid": (_positive_int, 64),
-        "n1": (_positive_int, 1000),
-        "n2": (_positive_int, 10000),
-    },
+    "rotset": _ROTATION_KEYS,
+    "vrotset": _ROTATION_KEYS,
     "periodic": {
         "q": (_positive_int, 1),
         "p": (int, 0),
@@ -227,15 +234,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 "bad value for %s.%s: %s" % (section, key, exc), lineno
             ) from exc
+
+    def pair_error(section, a, b, rule):
+        """A value pair that is bad together, named with the later line."""
+        va, vb = values[section][a], values[section][b]
+        line = max(seen.get((section, a), 0), seen.get((section, b), 0))
+        return ConfigError("bad value for %s.%s/%s: %s, got %r and %r" % (section, a, b, rule, va, vb), line)
+
     for section in ("rotset", "vrotset"):
-        n1, n2 = values[section]["n1"], values[section]["n2"]
-        if n1 >= n2:
-            line = max(seen.get((section, "n1"), 0), seen.get((section, "n2"), 0))
-            raise ConfigError(
-                "bad value for %s.n1/n2: horizons must satisfy n1 < n2, got %d and %d"
-                % (section, n1, n2),
-                line,
-            )
+        if values[section]["n1"] >= values[section]["n2"]:
+            raise pair_error(section, "n1", "n2", "horizons must satisfy n1 < n2")
+    if values["disks"]["region"] <= values["disks"]["step"] / 2:
+        raise pair_error("disks", "region", "step", "region must exceed half a step to hold a cell")
     if ("run", "command") not in seen:
         raise ConfigError("missing required key 'command' in [run]")
     if ("map", "map") not in seen and values["run"]["command"] not in (

@@ -1,4 +1,4 @@
-"""Planar helpers: convex hulls, hull distances, Hausdorff gaps, cell index."""
+"""Planar helpers: convex hulls, hull margins, Hausdorff gaps, row dots, cell index."""
 
 from __future__ import annotations
 
@@ -62,50 +62,19 @@ def point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * d)))
 
 
-def point_in_convex_hull(p, hull: np.ndarray) -> bool:
-    """Membership in the filled hull (degenerate hulls included)."""
-    p = np.asarray(p, dtype=float)
-    hull = np.asarray(hull, dtype=float)
-    if len(hull) == 1:
-        return bool(np.allclose(p, hull[0]))
-    if len(hull) == 2:
-        return point_segment_distance(p, hull[0], hull[1]) == 0.0
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], p) < 0.0:
-            return False
-    return True
-
-
-def distance_to_hull(p, hull: np.ndarray) -> float:
-    """Distance from a point to the filled convex hull (0 if inside)."""
-    p = np.asarray(p, dtype=float)
-    hull = np.asarray(hull, dtype=float)
-    if len(hull) == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    if len(hull) == 2:
-        return point_segment_distance(p, hull[0], hull[1])
-    if point_in_convex_hull(p, hull):
-        return 0.0
-    return min(
-        point_segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
-
-
 def interior_margin(p, hull: np.ndarray) -> float:
     """Signed distance to the hull boundary: positive inside, negative out.
 
-    Heuristic indicator only; degenerate hulls give -distance.
+    Heuristic indicator only; degenerate hulls (a point, a segment) give
+    -distance, so max(0, -margin) is the distance to the filled hull.
     """
     p = np.asarray(p, dtype=float)
     hull = np.asarray(hull, dtype=float)
-    if len(hull) <= 2:
-        return -distance_to_hull(p, hull)
-    d_boundary = min(
-        point_segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
-    return d_boundary if point_in_convex_hull(p, hull) else -d_boundary
+    n = len(hull)
+    edges = [(hull[i], hull[(i + 1) % n]) for i in range(n)] if n > 2 else [(hull[0], hull[-1])]
+    d_boundary = min(point_segment_distance(p, a, b) for a, b in edges)
+    inside = n > 2 and not any(_cross(a, b, p) < 0.0 for a, b in edges)
+    return d_boundary if inside else -d_boundary
 
 
 def hausdorff_gap(hull_a: np.ndarray, hull_b: np.ndarray) -> float:
@@ -116,9 +85,18 @@ def hausdorff_gap(hull_a: np.ndarray, hull_b: np.ndarray) -> float:
     """
     hull_a = np.asarray(hull_a, dtype=float)
     hull_b = np.asarray(hull_b, dtype=float)
-    d_ab = max(distance_to_hull(p, hull_b) for p in hull_a)
-    d_ba = max(distance_to_hull(p, hull_a) for p in hull_b)
-    return max(d_ab, d_ba)
+    return max(
+        0.0,
+        *(-interior_margin(p, hull_b) for p in hull_a),
+        *(-interior_margin(p, hull_a) for p in hull_b),
+    )
+
+
+def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows over the last axis, each rounded like
+    the 1-D `a @ b` (the BLAS dot, which may fuse the multiply-add that a
+    plain (A * B).sum(-1) rounds)."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 class CellIndex:

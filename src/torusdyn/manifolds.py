@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CellIndex
+from .geometry import CellIndex, row_dot
 from .maps import LiftedTorusMap, require_finite
 from .periodic import PeriodicPoint
 
@@ -247,36 +247,6 @@ def grow_manifold(
     )
 
 
-def pullback_rate_fit(m: LiftedTorusMap, curve: ManifoldCurve, max_steps: int = 400):
-    """Fit the geometric convergence rate of curve vertices pulled back to Q.
-
-    Returns (slope, expected) where expected = -log(expanding eigenvalue);
-    the fit uses log distance per backward (resp. forward, for stable
-    curves) iteration inside a clean linear window.
-    """
-    g, g_inv = _growth_maps(m, curve.owner)
-    back = g_inv if curve.kind == "unstable" else g
-    u_dir, s_dir, (lam_u, lam_s) = eigen_frame(curve.owner)
-    lam = lam_u if curve.kind == "unstable" else 1.0 / lam_s
-    Q = curve.owner.point
-    z = curve.vertices[3 * len(curve.vertices) // 4]
-    dists = []
-    for _ in range(max_steps):
-        d = float(np.linalg.norm(z - Q))
-        dists.append(d)
-        # stop once rounding error starts re-expanding the pullback
-        if len(dists) > 2 and d > 2.0 * dists[-2] and dists[-2] < 1e-4:
-            break
-        z = back(z)
-    dists = np.asarray(dists)
-    imin = int(np.argmin(dists))
-    idx = np.array([i for i in range(imin + 1) if dists[i] < 0.5])
-    if len(idx) < 3:
-        raise GrowthError("not enough points in the linear convergence window")
-    slope = np.polyfit(idx, np.log(dists[idx]), 1)[0]
-    return float(slope), float(-np.log(lam))
-
-
 @dataclass(frozen=True)
 class CrossingWitness:
     """Rectangle evidence for a topologically transverse intersection."""
@@ -336,18 +306,12 @@ def _local_piece(P: np.ndarray, i: int, x0: np.ndarray, half_len: float) -> np.n
     return np.asarray(bwd[::-1] + fwd)
 
 
-def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # stacked matmul rounds like the 1-D `a @ b` of each row, which a
-    # plain (A * B).sum(axis=1) does not
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def _piece_segments(piece: np.ndarray):
     """Start points, directions and squared lengths of the nonzero-length
     segments of a local polyline."""
     a = piece[:-1]
     d = piece[1:] - a
-    L2 = _row_dot(d, d)
+    L2 = row_dot(d, d)
     keep = L2 != 0.0
     return a[keep], d[keep], L2[keep]
 
@@ -356,9 +320,9 @@ def _side_of(x, segments):
     """Signed offset of x from the local polyline (sign by orientation),
     taken from the nearest of its `_piece_segments`, the first on ties."""
     a, d, L2 = segments
-    t = np.clip(_row_dot(x - a, d) / L2, 0.0, 1.0)
+    t = np.clip(row_dot(x - a, d) / L2, 0.0, 1.0)
     off = x - (a + t[:, None] * d)
-    k = int(np.argmin(np.sqrt(_row_dot(off, off))))
+    k = int(np.argmin(np.sqrt(row_dot(off, off))))
     a, d = a[k], d[k]
     return (d[0] * (x[1] - a[1]) - d[1] * (x[0] - a[0])) / np.sqrt(L2[k])
 

@@ -85,25 +85,6 @@ class LiftedTorusMap:
     def homotopy_class(self) -> str:
         return homotopy_class(self.homotopy)
 
-    def inverted(self) -> "LiftedTorusMap":
-        """The inverse map as a LiftedTorusMap (rules swapped)."""
-        fwd, inv, jac = self.forward, self.inverse, self.jacobian
-
-        def jac_inv(z):
-            J = jac(inv(np.asarray(z, dtype=float)))
-            return np.linalg.inv(J)
-
-        A = np.rint(np.linalg.inv(self.homotopy)).astype(int)
-        return LiftedTorusMap(
-            name=self.name + "^-1",
-            params=dict(self.params),
-            homotopy=A,
-            forward=inv,
-            inverse=fwd,
-            jacobian=jac_inv,
-            is_lift=self.is_lift,
-        )
-
 
 def _step_from_forward(forward):
     """In-place step(x, y) that writes back forward's image of (x, y)."""
@@ -288,13 +269,6 @@ def require_finite(*arrays):
     """Raise FloatingPointError unless every entry of every array is finite."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise FloatingPointError("non-finite image (parameter overflow?)")
-
-
-def eval_lift(m: LiftedTorusMap, z) -> np.ndarray:
-    """Forward image under the lift; raises on non-finite result."""
-    w = m.forward(np.asarray(z, dtype=float))
-    require_finite(w)
-    return w
 
 
 def deck_residual(m: LiftedTorusMap, z, v) -> float:

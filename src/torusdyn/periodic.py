@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import row_dot
 from .maps import LiftedTorusMap
 
 NEWTON_STEP_TOL = 1e-12
@@ -80,8 +81,8 @@ def _jacobian_residual(m: LiftedTorusMap, z, q: int, pr):
 def _norm(v: np.ndarray):
     """Euclidean norm over the last axis of (..., 2), bitwise equal to
     np.linalg.norm of each row: both take the BLAS dot of the row with
-    itself, which may fuse the multiply-add that (v * v).sum(-1) rounds."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    itself."""
+    return np.sqrt(row_dot(v, v))
 
 
 def _eigvals(J: np.ndarray) -> np.ndarray:

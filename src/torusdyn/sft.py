@@ -16,7 +16,7 @@ sequences of edge indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -162,10 +162,7 @@ def rational_hull(points: list) -> list:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    hull = _monotone_chain(pts)
-    if len(hull) < 3:  # all collinear after pruning
-        return [min(pts), max(pts)]
-    return hull
+    return _monotone_chain(pts)  # [min, max] for collinear points
 
 
 def cycle_rotation_hull(sft: WeightedSft, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
@@ -179,25 +176,14 @@ def cycle_rotation_hull(sft: WeightedSft, cycle_cap: int = DEFAULT_CYCLE_CAP) ->
 def point_in_hull_interior(rho, hull: list) -> bool:
     """Strict relative-interior membership, exact.
 
-    A 2D hull needs all edge cross products strictly positive; a segment
-    hull needs rho strictly between the endpoints; a single-point hull
-    needs equality."""
+    A 2D hull needs all edge cross products strictly positive; a point or
+    segment hull needs rho to be a combination of its vertices with every
+    coefficient positive."""
     rho = (Fraction(rho[0]), Fraction(rho[1]))
-    if len(hull) == 1:
-        return rho == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, rho) != 0:
-            return False
-        d = (b[0] - a[0], b[1] - a[1])
-        num = (rho[0] - a[0]) * d[0] + (rho[1] - a[1]) * d[1]
-        den = d[0] * d[0] + d[1] * d[1]
-        t = num / den
-        return 0 < t < 1
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], rho) <= 0:
-            return False
-    return True
+    if len(hull) <= 2:
+        coeffs = _solve_combination(hull, rho)
+        return coeffs is not None and all(a > 0 for a in coeffs)
+    return all(_cross(hull[i], hull[(i + 1) % len(hull)], rho) > 0 for i in range(len(hull)))
 
 
 @dataclass(frozen=True)
@@ -344,21 +330,13 @@ def bounded_deviation_orbit(
         target=rho,
         deviation_bound=L * math.sqrt(float(max_norm_sq)),
         deviation_bound_sq=bound_sq,
-        verified_horizon=0,
+        verified_horizon=horizon,
         max_deviation_sq=Fraction(0),
     )
     max_sq = verify_deviation(orbit, horizon)
     if max_sq > bound_sq:
         raise AssertionError("deviation bound violated: construction bug")
-    return BoundedDeviationOrbit(
-        sft=sft,
-        word=word,
-        target=rho,
-        deviation_bound=orbit.deviation_bound,
-        deviation_bound_sq=bound_sq,
-        verified_horizon=horizon,
-        max_deviation_sq=max_sq,
-    )
+    return replace(orbit, max_deviation_sq=max_sq)
 
 
 def verify_deviation(orbit: BoundedDeviationOrbit, n_max: int) -> Fraction:

@@ -88,17 +88,23 @@ def _rows(head, xs, mid, ys, tail, sep):
     return sep.join(blocks)
 
 
+def widen_range(lo, hi, bins: int):
+    """(lo - w, hi + w) for the first w of 0, 0.5 and half the larger
+    magnitude that splits the range into `bins` increasing steps: a range
+    too narrow is widened by 0.5 each way, as np.histogram widens a zero
+    range, or by magnitude where 0.5 is below the float spacing."""
+    for w in (0.0, 0.5, 0.5 * max(abs(lo), abs(hi))):
+        if np.all(np.diff(np.linspace(lo - w, hi + w, bins + 1)) > 0):
+            break
+    return lo - w, hi + w
+
+
 def _limits(lim):
-    """(lo, hi) as given, or widened by 0.5 each way where lo == hi (by
-    half the magnitude where 0.5 is below the float spacing), as
-    np.histogram widens a zero range."""
+    """(lo, hi) as given, or widened by `widen_range` where lo == hi."""
     lo, hi = lim
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("SVG canvas limits must be finite, got %r" % (lim,))
-    if lo != hi:
-        return lim
-    w = 0.5 if lo - 0.5 != lo + 0.5 else 0.5 * abs(lo)
-    return (lo - w, hi + w)
+    return lim if lo != hi else widen_range(lo, hi, 1)
 
 
 class SvgCanvas:

@@ -15,7 +15,6 @@ import numpy as np
 
 import torusdyn as td
 from torusdyn import cli
-from torusdyn.manifolds import pullback_rate_fit
 from torusdyn.maps import area_residual, make_linear_saddle
 from torusdyn.sft import (
     bounded_deviation_orbit,
@@ -23,6 +22,8 @@ from torusdyn.sft import (
     two_loop_example,
     verify_deviation,
 )
+
+from conftest import inverted, pullback_rate_fit
 
 
 def _report(name, detail):
@@ -114,7 +115,7 @@ def test_criterion_4_manifold_correctness(std_k2, fp_origin):
     assert abs(slope - expected) < 0.1 * abs(expected)
 
     stable = td.grow_manifold(std_k2, fp_origin, "stable", "+", arclength_budget=10.0)
-    inv = std_k2.inverted()
+    inv = inverted(std_k2)
     pp_inv = td.newton_periodic(inv, 1, (0, 0), (0.01, 0.01))
     oracle = td.grow_manifold(inv, pp_inv, "unstable", "+", arclength_budget=10.0)
     n = min(len(stable.vertices), len(oracle.vertices))

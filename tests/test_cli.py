@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdyn import cli, maps, rotation
 from torusdyn.config import COMMANDS, ConfigError, build_map, parse_config
 from torusdyn.report import sha256_file
+from torusdyn.svg import widen_range
 
 # dyadic translation and grid keep every Birkhoff mean exact in binary
 MINIMAL_ROTSET = """
@@ -190,6 +193,39 @@ def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, valu
     assert not out.exists()
 
 
+DISKS = "[map]\nmap = standard\n[run]\ncommand = disks\n[disks]\nregion = %s\nstep = 0.02\n"
+SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        # a region of at most half a step holds no cell centre
+        pytest.param(DISKS % "0.005", 2, "line 7: bad value for disks.region/step", id="disks-region-below-half-cell"),
+        pytest.param(DISKS % "0.01", 2, "line 7: bad value for disks.region/step", id="disks-region-half-cell"),
+        # the linear saddle (lam x, y / lam) has no inverse at lam = 0
+        pytest.param(SADDLE % "grow", 2, "line 3: bad value for map.lam", id="grow-lam-0"),
+        pytest.param(SADDLE % "find-periodic", 2, "line 3: bad value for map.lam", id="find-periodic-lam-0"),
+        pytest.param(
+            "[map]\nmap = identity\n[run]\ncommand = disks\n", 3, "numerical abort", id="disks-on-identity"
+        ),
+        pytest.param(
+            "[map]\nmap = standard\n[run]\ncommand = grow\n[grow]\ndelta = 10\nbudget = 5\n",
+            3,
+            "numerical abort: budget exhausted",
+            id="grow-delta-10",
+        ),
+    ],
+)
+def test_exit_contract(tmp_path, capsys, text, code, message):
+    # in process: an exception escaping main fails the test
+    got, out = _run(tmp_path, text)
+    assert got == code
+    assert message in capsys.readouterr().err
+    if code == 2:
+        assert not out.exists()
+
+
 def test_translate_range_zero_is_accepted():
     cfg = parse_config(
         "[map]\nmap = standard\n[run]\ncommand = scan-translates\n[translates]\nrange = 0\n"
@@ -342,12 +378,44 @@ def test_import_loads_no_scipy(module):
     assert done.stdout.strip() == "[]"
 
 
+def _histogram(values, bins):
+    """omega-probe's drift histogram."""
+    return np.histogram(values, bins, range=widen_range(float(values.min()), float(values.max()), bins))
+
+
+def _ref_histogram(values, bins):
+    lo, hi = float(values.min()), float(values.max())
+    for w in (0.0, 0.5, 0.5 * max(abs(lo), abs(hi))):
+        if np.all(np.diff(np.linspace(lo - w, hi + w, bins + 1)) > 0):
+            break
+    return np.histogram(values, bins=bins, range=(lo - w, hi + w))
+
+
+# zero and signed zero, the smallest subnormal, 2^53, 1e16 and 1e300, where
+# a 0.5 widening is lost to the float spacing, and random magnitudes
+WIDENING_VALUES = [0.0, -0.0, 5e-324, 2.0**53, 1e16, -1e16, 1e300, -1e300, 0.25, 8.471982252702795e297]
+
+
+@given(
+    st.sampled_from(WIDENING_VALUES) | st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, 1.0, 2.0**-52, 1e-9, 3.0]),
+    st.integers(1, 5),
+    st.sampled_from([1, 2, 20]),
+)
+@settings(max_examples=300, deadline=None)
+def test_histogram_widening_matches_reference(v, spread, n, bins):
+    values = np.array([v] * n + [v + spread * abs(v)])
+    counts, edges = _histogram(values, bins)
+    ref_counts, ref_edges = _ref_histogram(values, bins)
+    assert counts.tobytes() == ref_counts.tobytes() and edges.tobytes() == ref_edges.tobytes()
+
+
 @pytest.mark.parametrize(
     "values",
     [np.linspace(-1.0, 3.0, 101), np.full(7, 0.25), np.array([0.25, 0.25, 0.75])],
 )
 def test_histogram_matches_numpy_off_degenerate_ranges(values):
-    counts, edges = cli._histogram(values, 20)
+    counts, edges = _histogram(values, 20)
     ref_counts, ref_edges = np.histogram(values, bins=20)
     assert np.array_equal(counts, ref_counts) and np.array_equal(edges, ref_edges)
 
@@ -358,7 +426,7 @@ def test_histogram_matches_numpy_off_degenerate_ranges(values):
     [np.full(103, 8.471982252702795e297), np.array([-1e300, np.nextafter(-1e300, 0.0)])],
 )
 def test_histogram_widens_by_magnitude_at_large_scale(values):
-    counts, edges = cli._histogram(values, 20)
+    counts, edges = _histogram(values, 20)
     assert np.isfinite(edges).all() and np.all(np.diff(edges) > 0)
     assert counts.sum() == len(values)
 

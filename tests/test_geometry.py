@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from torusdyn.geometry import (
     GRID_CELLS_PER_AXIS,
     CellIndex,
+    _cross,
     convex_hull,
-    distance_to_hull,
     hausdorff_gap,
     interior_margin,
-    point_in_convex_hull,
     point_segment_distance,
 )
 
@@ -50,7 +49,7 @@ def test_hull_contains_all_points(pts):
     pts = np.asarray(pts)
     hull = convex_hull(pts)
     for p in pts:
-        assert distance_to_hull(p, hull) < 1e-9
+        assert interior_margin(p, hull) > -1e-9
 
 
 @given(point_sets, point_sets)
@@ -59,7 +58,7 @@ def test_hull_monotone_under_union(a, b):
     ha = convex_hull(np.asarray(a))
     hu = convex_hull(np.asarray(a + b))
     for p in ha:
-        assert distance_to_hull(p, hu) < 1e-9
+        assert interior_margin(p, hu) > -1e-9
 
 
 def test_point_segment_distance_values():
@@ -70,8 +69,6 @@ def test_point_segment_distance_values():
 
 def test_membership_and_margin():
     hull = convex_hull([[0, 0], [4, 0], [4, 4], [0, 4]])
-    assert point_in_convex_hull((2, 2), hull)
-    assert not point_in_convex_hull((5, 2), hull)
     assert interior_margin((2, 2), hull) == pytest.approx(2.0)
     assert interior_margin((5, 2), hull) == pytest.approx(-1.0)
     # degenerate hulls never report positive margin
@@ -92,6 +89,81 @@ def test_hausdorff_gap_symmetric(a, b):
     ha = convex_hull(np.asarray(a))
     hb = convex_hull(np.asarray(b))
     assert hausdorff_gap(ha, hb) == hausdorff_gap(hb, ha)
+
+
+# -- reference: the hull queries that interior_margin and hausdorff_gap merged --
+
+
+def _ref_point_in_convex_hull(p, hull):
+    p = np.asarray(p, dtype=float)
+    hull = np.asarray(hull, dtype=float)
+    if len(hull) == 1:
+        return bool(np.allclose(p, hull[0]))
+    if len(hull) == 2:
+        return point_segment_distance(p, hull[0], hull[1]) == 0.0
+    for i in range(len(hull)):
+        if _cross(hull[i], hull[(i + 1) % len(hull)], p) < 0.0:
+            return False
+    return True
+
+
+def _ref_distance_to_hull(p, hull):
+    p = np.asarray(p, dtype=float)
+    hull = np.asarray(hull, dtype=float)
+    if len(hull) == 1:
+        return float(np.linalg.norm(p - hull[0]))
+    if len(hull) == 2:
+        return point_segment_distance(p, hull[0], hull[1])
+    if _ref_point_in_convex_hull(p, hull):
+        return 0.0
+    return min(
+        point_segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
+        for i in range(len(hull))
+    )
+
+
+def _ref_interior_margin(p, hull):
+    p = np.asarray(p, dtype=float)
+    hull = np.asarray(hull, dtype=float)
+    if len(hull) <= 2:
+        return -_ref_distance_to_hull(p, hull)
+    d_boundary = min(
+        point_segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
+        for i in range(len(hull))
+    )
+    return d_boundary if _ref_point_in_convex_hull(p, hull) else -d_boundary
+
+
+def _ref_hausdorff_gap(hull_a, hull_b):
+    d_ab = max(_ref_distance_to_hull(p, hull_b) for p in hull_a)
+    d_ba = max(_ref_distance_to_hull(p, hull_a) for p in hull_b)
+    return max(d_ab, d_ba)
+
+
+# up to 7 points: coarse lattice points (collinear and repeated ones are
+# common) or free floats, at scales from 1e-9 to 1e6
+_coord = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0, allow_subnormal=False)
+_scale = st.sampled_from([1e-9, 1e-3, 1.0, 7.0, 1e6])
+_raw = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=7)
+
+
+@given(_raw, _raw, st.tuples(_coord, _coord), _scale, st.booleans())
+# a point off a segment hull whose distance to (a, b) and to (b, a) differ
+# in the last bit: the segment's edge keeps the hull's vertex order
+@example([(-0.085, 2.337), (2.604, -0.853)], [(0.0, 0.0)], (0.429, -1.069), 1.0, True)
+@settings(max_examples=400, deadline=None)
+def test_hull_queries_match_reference(a, b, q, scale, as_hull):
+    A = np.asarray(a) * scale
+    B = np.asarray(b) * scale
+    # a point or segment as given, or the convex hull the program passes
+    ha = convex_hull(A) if as_hull or len(A) > 2 else A
+    hb = convex_hull(B)
+    for p in [np.asarray(q) * scale, *A, *(0.5 * (A[:-1] + A[1:]))]:
+        for h in (ha, hb):
+            assert repr(interior_margin(p, h)) == repr(_ref_interior_margin(p, h))
+            assert repr(max(0.0, -interior_margin(p, h))) == repr(_ref_distance_to_hull(p, h))
+    assert repr(hausdorff_gap(ha, hb)) == repr(_ref_hausdorff_gap(ha, hb))
+    assert repr(hausdorff_gap(hb, ha)) == repr(_ref_hausdorff_gap(hb, ha))
 
 
 def _brute_pairs(points, queries, r):

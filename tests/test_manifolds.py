@@ -7,14 +7,11 @@ from scipy.spatial import cKDTree
 import torusdyn as td
 from torusdyn import manifolds
 from torusdyn.geometry import CellIndex, point_segment_distance
-from torusdyn.manifolds import (
-    CrossingWitness,
-    GrowthError,
-    NonHyperbolicError,
-    pullback_rate_fit,
-)
+from torusdyn.manifolds import CrossingWitness, GrowthError, NonHyperbolicError
 from torusdyn.maps import make_linear_saddle
 from torusdyn.periodic import PeriodicPoint
+
+from conftest import inverted, pullback_rate_fit
 
 
 def _saddle_fixed_point():
@@ -95,7 +92,7 @@ def test_pullback_rate_within_ten_percent(std_k2, fp_origin):
 
 def test_stable_curve_matches_inverse_map_unstable(std_k2, fp_origin):
     ws = td.grow_manifold(std_k2, fp_origin, "stable", "+", arclength_budget=10.0)
-    inv = std_k2.inverted()
+    inv = inverted(std_k2)
     pp_inv = td.newton_periodic(inv, 1, (0, 0), (0.01, 0.01))
     wu_inv = td.grow_manifold(inv, pp_inv, "unstable", "+", arclength_budget=10.0)
     n = min(len(ws.vertices), len(wu_inv.vertices))

@@ -8,8 +8,11 @@ import torusdyn as td
 from torusdyn.maps import (
     area_residual,
     make_linear_saddle,
+    require_finite,
     validate_homotopy,
 )
+
+from conftest import inverted
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,14 +119,15 @@ def test_jacobian_matches_finite_differences(std_k2):
         assert np.allclose(J[:, col], fd, atol=1e-6)
 
 
-def test_eval_lift_rejects_nonfinite():
+def test_require_finite_rejects_nonfinite_image():
     m = td.make_translation_map(float("inf"), 0.0)
     with pytest.raises(FloatingPointError):
-        td.eval_lift(m, (0.0, 0.0))
+        require_finite(m.forward(np.array([0.0, 0.0])))
+    require_finite(np.zeros(2), np.ones((3, 2)))
 
 
 def test_inverted_map_swaps_rules(std_k2):
-    inv = std_k2.inverted()
+    inv = inverted(std_k2)
     z = np.array([0.2, 0.6])
     assert np.allclose(inv.forward(z), std_k2.inverse(z))
     assert np.allclose(inv.inverse(z), std_k2.forward(z))
@@ -164,7 +168,7 @@ def test_inverted_step_matches_inverse(xy, k, eps):
     x, y = xy
     m = td.make_standard_map(k, eps)
     want = m.inverse(np.stack([x, y], axis=-1))
-    m.inverted().step(x, y)
+    inverted(m).step(x, y)
     assert x.tobytes() == want[..., 0].tobytes()
     assert y.tobytes() == want[..., 1].tobytes()
 

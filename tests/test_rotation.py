@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusdyn as td
-from torusdyn.geometry import distance_to_hull
+from torusdyn.geometry import interior_margin
 from torusdyn.maps import LiftedTorusMap, OrbitEscapeError
 from torusdyn.rotation import WrongHomotopyClassError, _two_horizon_means
 
@@ -22,8 +22,8 @@ def test_drift_shear_hull_is_horizontal_segment():
     poly = td.estimate_rotation_set(m, td.seed_grid(8, 8), (10, 20))
     # orbits keep y fixed, so means are exactly (0.5 sin^2(pi y), 0)
     assert np.max(np.abs(poly.hull[:, 1])) < 1e-12
-    assert distance_to_hull((0.0, 0.0), poly.hull) < 1e-12
-    assert distance_to_hull((0.5, 0.0), poly.hull) < 1e-12
+    assert interior_margin((0.0, 0.0), poly.hull) > -1e-12
+    assert interior_margin((0.5, 0.0), poly.hull) > -1e-12
     assert poly.hausdorff_gap < 1e-12
 
 
@@ -75,7 +75,7 @@ def test_hull_monotone_in_seed_set():
     ph = td.estimate_rotation_set(m, small, (5, 10)).hull
     pb = td.estimate_rotation_set(m, big, (5, 10)).hull
     for p in ph:
-        assert distance_to_hull(p, pb) < 1e-9
+        assert interior_margin(p, pb) > -1e-9
 
 
 def test_input_validation():

@@ -197,8 +197,37 @@ def test_cycle_mean_values():
 # -- reference: the Fraction hull and search that the integer lattice replaced --
 
 
+def _ref_rational_hull(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    hull = sft._monotone_chain(pts)
+    if len(hull) < 3:  # all collinear after pruning
+        return [min(pts), max(pts)]
+    return hull
+
+
+def _ref_point_in_hull_interior(rho, hull):
+    rho = (F(rho[0]), F(rho[1]))
+    if len(hull) == 1:
+        return rho == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        if _cross(a, b, rho) != 0:
+            return False
+        d = (b[0] - a[0], b[1] - a[1])
+        num = (rho[0] - a[0]) * d[0] + (rho[1] - a[1]) * d[1]
+        den = d[0] * d[0] + d[1] * d[1]
+        t = num / den
+        return 0 < t < 1
+    for i in range(len(hull)):
+        if _cross(hull[i], hull[(i + 1) % len(hull)], rho) <= 0:
+            return False
+    return True
+
+
 def _ref_hull(s):
-    return rational_hull([cycle_mean(s, c) for c in simple_cycles(s)])
+    return _ref_rational_hull([cycle_mean(s, c) for c in simple_cycles(s)])
 
 
 def _ref_solve(means, rho):
@@ -251,7 +280,7 @@ def _ref_orbit(s, rho, horizon):
     """(word, max_deviation_sq, deviation_bound, deviation_bound_sq)."""
     cycles = simple_cycles(s)
     means = [cycle_mean(s, c) for c in cycles]
-    if not point_in_hull_interior(rho, rational_hull(means)):
+    if not _ref_point_in_hull_interior(rho, _ref_rational_hull(means)):
         raise ValueError("rho must lie strictly inside the cycle-mean hull")
     active = _ref_combination(s, cycles, means, rho)
     fracs = [a / len(c) for c, a in active]
@@ -318,3 +347,26 @@ def test_lattice_scale_beyond_int64():
     assert S > 2**63
     _assert_matches_reference(s, rho, 100)
     assert sorted(bounded_deviation_orbit(s, rho, 100).word) == [0, 1, 2]
+
+
+_coord = st.integers(-4, 4) | st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+_rpoint = st.tuples(_coord, _coord)
+# points anywhere, or on one line through a point (segment and point hulls)
+_rpoints = st.lists(_rpoint, min_size=1, max_size=7) | st.builds(
+    lambda a, d, ts: [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts],
+    _rpoint,
+    _rpoint,
+    st.lists(st.integers(-3, 3), min_size=1, max_size=7),
+)
+
+
+@given(_rpoints, _rpoint, st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=500, deadline=None)
+def test_hull_and_membership_match_reference(points, q, i, j):
+    hull = rational_hull(points)
+    assert repr(hull) == repr(_ref_rational_hull(points))
+    a, b = hull[i % len(hull)], hull[j % len(hull)]
+    centroid = tuple(sum(F(v[k]) for v in hull) / len(hull) for k in (0, 1))
+    # a free point, a vertex, a chord midpoint (an edge's, for neighbours)
+    for rho in (q, a, (F(a[0] + b[0]) / 2, F(a[1] + b[1]) / 2), centroid):
+        assert point_in_hull_interior(rho, hull) == _ref_point_in_hull_interior(rho, hull)

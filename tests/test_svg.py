@@ -148,6 +148,33 @@ def test_non_finite_limits_are_rejected(lim):
         SvgCanvas((0.0, 1.0), lim)
 
 
+def _ref_limits(lim):
+    lo, hi = lim
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("SVG canvas limits must be finite, got %r" % (lim,))
+    if lo != hi:
+        return lim
+    w = 0.5 if lo - 0.5 != lo + 0.5 else 0.5 * abs(lo)
+    return (lo - w, hi + w)
+
+
+# zero and signed zero, the smallest subnormal, 2^53, 1e16 and 1e300, where
+# a 0.5 widening is lost to the float spacing
+@given(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**53, 1e16, -1e16, 1e300, -1e300]) | st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-9, -1e6]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_limits_match_reference(v, spread, as_numpy):
+    # equal, ordinary and reversed limits, as Python or numpy floats
+    lim = (v, v + spread)
+    if as_numpy:
+        lim = (np.float64(lim[0]), np.float64(lim[1]))
+    got, want = svg._limits(lim), _ref_limits(lim)
+    assert repr(got) == repr(want)
+
+
 SCAN = """
 [map]
 map = standard
