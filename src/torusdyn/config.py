@@ -2,10 +2,10 @@
 
 Unknown keys and bad values, among them a size, count or tolerance that is
 not positive, a map parameter, seed point, angle or ball centre that is
-not finite, a zero linear-saddle `lam`, rotation horizons with n1 >= n2
-and a [disks] region too small to hold a cell, are rejected with their
-line number; duplicate keys follow a last-wins policy and are recorded as
-warnings for the run manifest.
+not finite, a linear-saddle `lam` without a finite reciprocal, rotation
+horizons with n1 >= n2 and a [disks] region too small to hold a cell, are
+rejected with their line number; duplicate keys follow a last-wins policy
+and are recorded as warnings for the run manifest.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def _finite_float(s: str) -> float:
     return value
 
 
-def _nonzero_float(s: str) -> float:
+def _invertible_float(s: str) -> float:
     value = _finite_float(s)
-    if value == 0.0:
-        raise ValueError("must be nonzero, got %r" % value)
+    if value == 0.0 or not math.isfinite(1.0 / value):
+        raise ValueError("must have a finite reciprocal, got %r" % value)
     return value
 
 
@@ -109,7 +109,7 @@ SCHEMA = {
         "a": (_finite_float, 0.0),
         "b": (_finite_float, 0.0),
         "d": (_finite_float, 0.5),
-        "lam": (_nonzero_float, 2.0),
+        "lam": (_invertible_float, 2.0),
     },
     "run": {
         "command": (_choice(COMMANDS), None),

@@ -66,13 +66,22 @@ class ManifoldCurve:
         return _SegmentIndex(self.vertices)
 
 
+def _segment_lengths(pts: np.ndarray) -> np.ndarray:
+    """Segment lengths of a polyline, sqrt(dx*dx + dy*dy) on the split
+    coordinate differences: the bits of `np.linalg.norm` over the rows, at a
+    quarter of its cost."""
+    dx = np.diff(pts[:, 0])
+    dy = np.diff(pts[:, 1])
+    return np.sqrt(dx * dx + dy * dy)
+
+
 class _SegmentIndex:
     """Segment midpoints of one polyline, their longest segment length and, on
     first use, a `CellIndex` of the midpoints with cells at least twice that."""
 
     def __init__(self, vertices: np.ndarray):
         self.midpoints = 0.5 * (vertices[:-1] + vertices[1:])
-        self.max_len = float(np.max(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
+        self.max_len = float(np.max(_segment_lengths(vertices)))
 
     @cached_property
     def cells(self) -> CellIndex:
@@ -82,8 +91,7 @@ class _SegmentIndex:
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:
     """Wrap a raw polyline as a curve (for tests and synthetic scans)."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    seg = np.diff(vertices, axis=0)
-    arclength = float(np.sum(np.linalg.norm(seg, axis=1)))
+    arclength = float(np.sum(_segment_lengths(vertices)))
     owner = PeriodicPoint(
         point=vertices[0],
         period=1,
@@ -165,6 +173,18 @@ def grow_manifold(
     A seed segment [z0, g(z0)] along the eigendirection is iterated; every
     vertex is the exact image g^m of a seed-segment point, and midpoint
     preimages are inserted until adjacent image spacing is at most h_max.
+
+    A level whose coarse (unrefined) cumulative length reaches the budget is
+    the last one: it is truncated after the first coarse vertex whose
+    cumulative length reaches the budget, and only that prefix is refined.
+    Refinement only inserts points, so by the triangle inequality the
+    refined cut lies inside the prefix, and the kept vertices, arclength and
+    level equal those of refining the whole level (should rounding leave the
+    refined prefix short of the budget, the curve ends at its last vertex).
+    So `growth_log`'s insertion count covers only the kept prefix of the
+    last level, and `vertex_cap` bounds the vertices kept from earlier
+    levels plus that refined prefix; exceeding it raises `GrowthError`,
+    never a partial curve.
     """
     if kind not in ("unstable", "stable"):
         raise ValueError("kind must be 'unstable' or 'stable'")
@@ -204,9 +224,15 @@ def grow_manifold(
     t = np.array([0.0, 1.0])
     pts = seed_point(t)
     while True:
+        gaps = _segment_lengths(pts)
+        cum = arclength + np.cumsum(gaps)
+        last = cum[-1] >= arclength_budget
+        if last:
+            # the last level: refine only up to the first coarse vertex past the budget
+            keep = int(np.searchsorted(cum, arclength_budget)) + 2
+            t, pts, gaps = t[:keep], pts[:keep], gaps[: keep - 1]
         # refine until image spacing <= h_max
         while True:
-            gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
             bad = np.nonzero(gaps > h_max)[0]
             if len(bad) == 0:
                 break
@@ -224,12 +250,12 @@ def grow_manifold(
             pts = np.insert(pts, at, p_new, axis=0)
             if n_vertices + len(t) > vertex_cap:
                 raise GrowthError("refinement exceeded the vertex cap")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        cum = arclength + np.cumsum(seg)
-        if cum[-1] >= arclength_budget:
-            cut = int(np.searchsorted(cum, arclength_budget))
+            gaps = _segment_lengths(pts)
+        cum = arclength + np.cumsum(gaps)
+        if last or cum[-1] >= arclength_budget:
+            cut = min(int(np.searchsorted(cum, arclength_budget)), len(cum) - 1)
             chunks.append(pts[1 : cut + 2])
-            arclength = float(cum[min(cut, len(cum) - 1)])
+            arclength = float(cum[cut])
             break
         chunks.append(pts[1:])
         n_vertices += len(pts) - 1

@@ -206,6 +206,13 @@ SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
         # the linear saddle (lam x, y / lam) has no inverse at lam = 0
         pytest.param(SADDLE % "grow", 2, "line 3: bad value for map.lam", id="grow-lam-0"),
         pytest.param(SADDLE % "find-periodic", 2, "line 3: bad value for map.lam", id="find-periodic-lam-0"),
+        # 1 / lam overflows to inf
+        pytest.param(
+            SADDLE.replace("lam = 0", "lam = 1e-320") % "grow",
+            2,
+            "line 3: bad value for map.lam",
+            id="grow-lam-tiny",
+        ),
         pytest.param(
             "[map]\nmap = identity\n[run]\ncommand = disks\n", 3, "numerical abort", id="disks-on-identity"
         ),

@@ -109,6 +109,86 @@ def test_growth_equivariance_under_integer_translation(std_k2, fp_origin):
     assert np.max(np.abs(w1.vertices[:n] - (1.0, 0.0) - w0.vertices[:n])) < 1e-8
 
 
+def _grow_full_levels(m, pp, kind, branch, budget, h_max=manifolds.DEFAULT_H_MAX):
+    """Reference growth that refines every level in full and only then cuts
+    the last one at the budget.  Returns (vertices, arclength, level,
+    insertions)."""
+    u_dir, s_dir, _ = manifolds.eigen_frame(pp)
+    g, g_inv = manifolds._growth_maps(m, pp)
+    step = g if kind == "unstable" else g_inv
+    direction = u_dir if kind == "unstable" else s_dir
+    if branch == "-":
+        direction = -direction
+    z0 = pp.point + manifolds.DEFAULT_DELTA_SEED * direction
+    z1 = step(z0)
+
+    def advance(P, times):
+        for _ in range(times):
+            P = step(P)
+        return P
+
+    chunks = [z0[None, :]]
+    arclength = 0.0
+    insertions = 0
+    level = 0
+    t = np.array([0.0, 1.0])
+    pts = z0[None, :] + t[:, None] * (z1 - z0)[None, :]
+    while True:
+        while True:
+            gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            bad = np.nonzero(gaps > h_max)[0]
+            if len(bad) == 0:
+                break
+            t_new = 0.5 * (t[bad] + t[bad + 1])
+            resolvable = (t[bad + 1] - t[bad]) > 1e-14
+            t_new = t_new[resolvable]
+            if len(t_new) == 0:
+                break
+            p_new = advance(z0[None, :] + t_new[:, None] * (z1 - z0)[None, :], level)
+            insertions += len(t_new)
+            at = bad[resolvable] + 1
+            t = np.insert(t, at, t_new)
+            pts = np.insert(pts, at, p_new, axis=0)
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        cum = arclength + np.cumsum(seg)
+        if cum[-1] >= budget:
+            cut = int(np.searchsorted(cum, budget))
+            chunks.append(pts[1 : cut + 2])
+            return np.concatenate(chunks), float(cum[cut]), level, insertions
+        chunks.append(pts[1:])
+        arclength = float(cum[-1])
+        level += 1
+        pts = advance(pts, 1)
+
+
+@pytest.mark.parametrize(
+    "saddle, budget",
+    [
+        (False, 2.0),
+        # level 7 refined in full is about 5x longer than the kept prefix
+        (False, 60.0),
+        # a straight manifold, where refining adds no length
+        (True, 5.0),
+    ],
+)
+def test_grow_matches_full_level_reference(std_k2, fp_origin, saddle, budget):
+    m, pp = _saddle_fixed_point() if saddle else (std_k2, fp_origin)
+    for kind in ("unstable", "stable"):
+        got = td.grow_manifold(m, pp, kind, "+", arclength_budget=budget)
+        vertices, arclength, level, insertions = _grow_full_levels(m, pp, kind, "+", budget)
+        assert got.vertices.tobytes() == vertices.tobytes()
+        assert got.arclength == arclength and got.growth_log[0] == level
+        assert got.growth_log[1] < insertions
+
+
+def test_vertex_cap_counts_only_the_kept_prefix(std_k2, fp_origin):
+    # refining level 7 in full would pass 100,000 vertices; its kept prefix does not
+    wu = td.grow_manifold(std_k2, fp_origin, "unstable", "+", arclength_budget=60.0, vertex_cap=100_000)
+    assert len(wu.vertices) == 86_366
+    with pytest.raises(GrowthError, match="vertex cap"):
+        td.grow_manifold(std_k2, fp_origin, "unstable", "+", arclength_budget=60.0, vertex_cap=50_000)
+
+
 # default to an even vertex count so test crossings never land exactly on
 # a polyline vertex (the detector is strict about proper crossings)
 def _segment(p, q, n=20, h_max=1e-3):
