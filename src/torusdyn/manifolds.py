@@ -11,10 +11,17 @@ Crossing search is a broad phase followed by a narrow phase.  The broad
 phase pairs segments whose midpoints lie within half the sum of the two
 curves' longest segments, which every strictly crossing pair does.  It asks
 a `geometry.CellIndex` over the target's midpoints, built once per curve,
-for the pairs within that radius of `midpoints - v` for a translate v.
-The narrow phase tests strict crossings over all candidate pairs at once
-and runs the rectangle walk only on true crossings, in (piece segment,
-target segment) order.
+for the pairs within that radius of `midpoints - v` for a translate v,
+which must be integer-valued.  The narrow phase tests strict crossings over
+all candidate pairs at once, reading only the target rows it needs, plus v.
+It then runs the rectangle walk on the true crossings as numpy arrays, in
+blocks taken in (piece segment, target segment) order: one block without a
+witness cap, else blocks of max_witnesses, 2*max_witnesses, ... hits until
+the cap is met.  Each hit reads its local piece and its two target walks
+through windows of polyline rows, clipped at the polyline ends; a hit that
+its windows leave undecided is walked again with windows twice as wide.
+Piece arc lengths are sqrt(row_dot(d, d)), the bits of `np.linalg.norm` on
+each segment, summed left to right by `np.cumsum`.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ DEFAULT_DELTA_SEED = 1e-6
 DEFAULT_BUDGET = 200.0
 VERTEX_CAP = 2_000_000
 MIXING_SAMPLES_PER_RADIUS = 8
+# first window widths of the crossing walk, in vertices: per side of a local
+# piece, and along a target walk; each doubles for a hit it leaves undecided
+PIECE_WINDOW = 16
+WALK_WINDOW = 4
+SIDE_BATCH = 1 << 20  # (walk vertex, piece segment) pairs per side-offset batch
 
 
 class NonHyperbolicError(ValueError):
@@ -297,10 +309,10 @@ def _cross(o, p, q):
     return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0])
 
 
-def _strict_crossings(P: np.ndarray, T: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The candidate pairs whose segments P[i]P[i+1] and T[j]T[j+1] cross
+def _strict_crossings(P: np.ndarray, T: np.ndarray, v: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The candidate pairs whose segments P[i]P[i+1] and T[j]T[j+1] + v cross
     strictly, with their intersection points."""
-    a, b, c, d = P[i], P[i + 1], T[j], T[j + 1]
+    a, b, c, d = P[i], P[i + 1], T[j] + v, T[j + 1] + v
     s1 = _cross(a, b, c)
     s2 = _cross(a, b, d)
     hit = (s1 * s2 < 0) & (_cross(c, d, a) * _cross(c, d, b) < 0)
@@ -309,75 +321,126 @@ def _strict_crossings(P: np.ndarray, T: np.ndarray, i: np.ndarray, j: np.ndarray
     return i[hit], j[hit], c + t[:, None] * (d - c)
 
 
-def _local_piece(P: np.ndarray, i: int, x0: np.ndarray, half_len: float) -> np.ndarray:
-    """Portion of polyline P around x0 on segment i, half_len arc each way."""
-    fwd = [x0]
-    acc = 0.0
-    j = i + 1
-    prev = x0
-    while j < len(P) and acc < half_len:
-        fwd.append(P[j])
-        acc += float(np.linalg.norm(P[j] - prev))
-        prev = P[j]
-        j += 1
-    bwd = []
-    acc = 0.0
-    j = i
-    prev = x0
-    while j >= 0 and acc < half_len:
-        bwd.append(P[j])
-        acc += float(np.linalg.norm(P[j] - prev))
-        prev = P[j]
-        j -= 1
-    return np.asarray(bwd[::-1] + fwd)
+def _window(n: int, start: np.ndarray, step: int, width: int):
+    """Rows start, start + step, ... (width of them) for each hit, clipped to
+    a polyline of n vertices, and the mask of the rows inside it."""
+    rows = start[:, None] + step * np.arange(width)
+    return np.clip(rows, 0, n - 1), (rows >= 0) & (rows < n)
 
 
-def _piece_segments(piece: np.ndarray):
-    """Start points, directions and squared lengths of the nonzero-length
-    segments of a local polyline."""
-    a = piece[:-1]
-    d = piece[1:] - a
-    L2 = row_dot(d, d)
-    keep = L2 != 0.0
-    return a[keep], d[keep], L2[keep]
+def _local_segments(P: np.ndarray, i: np.ndarray, x0: np.ndarray, half: float, width: int):
+    """Segments of each hit's local piece: P around x0 on segment i, the
+    vertices of P out to where the arc from x0 first reaches half, each way.
+
+    Windows of `width` vertices per side; arc lengths are the cumulative
+    sums of sqrt(row_dot(d, d)).  Returns the segments in piece order as
+    start points, directions, squared lengths (1 where masked) and the mask
+    of kept nonzero-length ones, and whether each hit's windows reached
+    their cut or the polyline's end on both sides."""
+    parts = []
+    for start, step in ((i, -1), (i + 1, 1)):
+        rows, kept = _window(len(P), start, step, width)
+        V = P[rows]
+        prev = np.concatenate([x0[:, None], V[:, :-1]], axis=1)
+        # each segment runs from the earlier to the later vertex of the piece
+        a, d = (V, prev - V) if step < 0 else (prev, V - prev)
+        L2 = row_dot(d, d)
+        arc = np.cumsum(np.sqrt(L2), axis=1)
+        kept[:, 1:] &= arc[:, :-1] < half
+        parts.append((a, d, L2, kept))
+    # backward side farthest first, then forward
+    a, d, L2, kept = (np.concatenate([b[:, ::-1], f], axis=1) for b, f in zip(*parts))
+    keep = kept & (L2 != 0.0)
+    return (a, d, np.where(keep, L2, 1.0), keep), ~kept[:, 0] & ~kept[:, -1]
 
 
-def _side_of(x, segments):
-    """Signed offset of x from the local polyline (sign by orientation),
-    taken from the nearest of its `_piece_segments`, the first on ties."""
-    a, d, L2 = segments
-    t = np.clip(row_dot(x - a, d) / L2, 0.0, 1.0)
-    off = x - (a + t[:, None] * d)
-    k = int(np.argmin(np.sqrt(row_dot(off, off))))
-    a, d = a[k], d[k]
-    return (d[0] * (x[1] - a[1]) - d[1] * (x[0] - a[0])) / np.sqrt(L2[k])
+def _side_offsets(X: np.ndarray, a, d, L2, keep) -> np.ndarray:
+    """Signed offsets (sign by orientation) of walk vertices X[h, k] from hit
+    h's local piece, each taken from its nearest kept segment, the first on
+    ties (masked segments lie at +inf).  Hits go in batches of at most
+    SIDE_BATCH (vertex, segment) pairs."""
+    s = np.empty(X.shape[:2])
+    step = max(1, SIDE_BATCH // (X.shape[1] * a.shape[1]))
+    for lo in range(0, len(X), step):
+        h = slice(lo, lo + step)
+        x, ah, dh = X[h][:, :, None], a[h][:, None], d[h][:, None]
+        t = np.clip(row_dot(x - ah, dh) / L2[h][:, None], 0.0, 1.0)
+        off = x - (ah + t[..., None] * dh)
+        near = np.argmin(np.where(keep[h][:, None], np.sqrt(row_dot(off, off)), np.inf), axis=2)
+        r = np.arange(len(near))[:, None]
+        x, ak, dk = X[h], a[h][r, near], d[h][r, near]
+        s[h] = (dk[..., 0] * (x[..., 1] - ak[..., 1]) - dk[..., 1] * (x[..., 0] - ak[..., 0])) / np.sqrt(
+            L2[h][r, near]
+        )
+    return s
 
 
-def _walk_side(T, j_from, direction, c, tang, segments, ell, w):
-    """Walk target polyline one way from a crossing until it exits the
-    rectangle; return (side sign, exit side label) or None on tangency,
-    recrossing, or a dead end inside the rectangle."""
-    sgn = 0.0
-    j = j_from
-    while 0 <= j < len(T):
-        x = T[j]
-        u = float(tang @ (x - c))
-        s = _side_of(x, segments)
-        inside = abs(u) <= ell / 2 and abs(s) <= w / 2
-        if s != 0.0:
-            if sgn == 0.0:
-                sgn = np.sign(s)
-            elif np.sign(s) != sgn and inside:
-                return None  # recrossed the piece inside the rectangle
-        if not inside:
-            if sgn == 0.0:
-                if s == 0.0:
-                    return None
-                sgn = np.sign(s)
-            label = "end" if abs(u) > ell / 2 else "far"
-            return sgn, label
-        j += direction
-    return None  # polyline ends inside the rectangle
+def _walk(T, v, start, step, width, x0, tang, segments, half, w):
+    """Walk target + v from rows `start` one `step` at a time until it leaves
+    each hit's rectangle.  Returns whether the window decided the walk, the
+    first nonzero side sign up to the exit (0 when there is none, on a
+    recrossing inside the rectangle and at a dead end at the polyline's end)
+    and whether the exit is through an end (|u| > half) or a far side."""
+    rows, valid = _window(len(T), start, step, width)
+    X = T[rows] + v
+    u = row_dot(X - x0[:, None], tang[:, None])
+    s = _side_offsets(X, *segments)
+    out = valid & ~((np.abs(u) <= half) & (np.abs(s) <= w / 2))
+    exit_ = np.argmax(out, axis=1)  # the first vertex outside
+    h, k = np.arange(len(rows)), np.arange(width)
+    exited = out[h, exit_]
+    signed = (s != 0.0) & (k <= exit_[:, None])
+    sgn = np.sign(s[h, np.argmax(signed, axis=1)])  # the first nonzero side
+    recross = signed & (k < exit_[:, None]) & (np.sign(s) != sgn[:, None])
+    ok = exited & signed.any(axis=1) & ~recross.any(axis=1)
+    return exited | ~valid[:, -1], np.where(ok, sgn, 0.0), np.abs(u[h, exit_]) > half
+
+
+def _validate(P, T, v, i, j, x0, ell, w):
+    """Rectangle walks of a block of strict crossings: the forward and
+    backward side signs and end exits per hit.  A hit whose windows end
+    before its rule is decided is walked again with windows twice as wide."""
+    d = P[i + 1] - P[i]
+    tang = d / np.sqrt(row_dot(d, d))[:, None]
+    sgn = np.zeros((2, len(i)))
+    end = np.zeros((2, len(i)), dtype=bool)
+    pending, scale = np.arange(len(i)), 1
+    while len(pending):
+        h = pending
+        segments, decided = _local_segments(P, i[h], x0[h], ell / 2, PIECE_WINDOW * scale)
+        for side, start, step in ((0, j[h] + 1, 1), (1, j[h], -1)):
+            walked, sgn[side, h], end[side, h] = _walk(
+                T, v, start, step, WALK_WINDOW * scale, x0[h], tang[h], segments, ell / 2, w
+            )
+            decided &= walked
+        pending, scale = h[~decided], 2 * scale
+    return tang, sgn, end
+
+
+def _witnesses(P, T, v, i, j, x0, h, label) -> list:
+    """The witnesses among a block of strict crossings, in block order."""
+    ell = 10.0 * h
+    w = 2.0 * h
+    tang, (fwd, bwd), (fwd_end, bwd_end) = _validate(P, T, v, i, j, x0, ell, w)
+    good = np.nonzero(fwd * bwd < 0)[0]  # strict side change: not a tangential touch
+    a = (ell / 2) * tang[good]
+    b = (w / 2) * np.stack([-tang[good, 1], tang[good, 0]], axis=1)
+    x = x0[good]
+    corners = np.stack([x - a - b, x + a - b, x + a + b, x - a + b], axis=1)
+    left = np.where(fwd > 0, fwd_end, bwd_end)[good].tolist()
+    right = np.where(fwd > 0, bwd_end, fwd_end)[good].tolist()
+    exits = ("far", "end")
+    return [
+        CrossingWitness(
+            location=x0[k],
+            translate=label,
+            rectangle=corners[n],
+            sides_hit={"left": exits[left[n]], "right": exits[right[n]]},
+            piece_segment=int(i[k]),
+            target_segment=int(j[k]),
+        )
+        for n, k in enumerate(good.tolist())
+    ]
 
 
 def detect_crossings(
@@ -392,59 +455,39 @@ def detect_crossings(
     along the local piece and width 2*h_max across it; the target must
     change side strictly and reach a rectangle side in both components.
     An empty list means "not found at this resolution", never "absent".
+    The translate must be integer-valued (it labels the witnesses), and
+    max_witnesses, when given, positive.
 
     The broad phase queries target's cached segment index (see
     `ManifoldCurve.segment_index`) at the piece's midpoints minus the
     translate, so repeated calls on one target build it once.  The narrow
-    phase keeps the strictly crossing candidate pairs and validates them
-    in lexicographic (piece segment, target segment) order, stopping at
-    max_witnesses.
+    phase keeps the strictly crossing candidate pairs and validates them as
+    arrays, in blocks taken in lexicographic (piece segment, target segment)
+    order: all at once without max_witnesses, else a first block of
+    max_witnesses hits and each later one twice as large, stopping once
+    max_witnesses are found.  Each hit's local piece and target walks are
+    read through windows of piece and target rows, grown by doubling until
+    they decide the hit; piece arc lengths are sqrt(row_dot(d, d)), the bits
+    of `np.linalg.norm` on each segment.
     """
-    P = piece.vertices
+    P, T = piece.vertices, target.vertices
     v = np.asarray(translate, dtype=float)
-    T = target.vertices + v
+    if not np.all(np.isfinite(v) & (v == np.floor(v))):
+        raise ValueError("translate must be integer-valued, got %r" % (translate,))
+    if max_witnesses is not None and max_witnesses < 1:
+        raise ValueError("max_witnesses must be positive or None")
     if len(P) < 2 or len(T) < 2:
         raise ValueError("both curves need at least two vertices")
-    h = piece.h_max
-    ell = 10.0 * h
-    w = 2.0 * h
+    label = (int(v[0]), int(v[1]))
+    i_hit, j_hit, x_hit = _strict_crossings(P, T, v, *_segment_pairs(piece, target, v))
+    limit = len(i_hit) if max_witnesses is None else max_witnesses
     witnesses = []
-    i_hit, j_hit, x_hit = _strict_crossings(P, T, *_segment_pairs(piece, target, v))
-    for i, j, x0 in zip(i_hit.tolist(), j_hit.tolist(), x_hit):
-        local = _piece_segments(_local_piece(P, i, x0, ell / 2))
-        tang = P[i + 1] - P[i]
-        tang = tang / np.linalg.norm(tang)
-        fwd = _walk_side(T, j + 1, +1, x0, tang, local, ell, w)
-        if fwd is None:
-            continue
-        bwd = _walk_side(T, j, -1, x0, tang, local, ell, w)
-        if bwd is None:
-            continue
-        if fwd[0] * bwd[0] >= 0:
-            continue  # tangential touch: both components on one side
-        nrm = np.array([-tang[1], tang[0]])
-        corners = np.array(
-            [
-                x0 - (ell / 2) * tang - (w / 2) * nrm,
-                x0 + (ell / 2) * tang - (w / 2) * nrm,
-                x0 + (ell / 2) * tang + (w / 2) * nrm,
-                x0 - (ell / 2) * tang + (w / 2) * nrm,
-            ]
-        )
-        left, right = (fwd, bwd) if fwd[0] > 0 else (bwd, fwd)
-        witnesses.append(
-            CrossingWitness(
-                location=x0,
-                translate=(int(translate[0]), int(translate[1])),
-                rectangle=corners,
-                sides_hit={"left": left[1], "right": right[1]},
-                piece_segment=i,
-                target_segment=j,
-            )
-        )
-        if max_witnesses is not None and len(witnesses) >= max_witnesses:
-            break
-    return witnesses
+    lo, size = 0, limit
+    while lo < len(i_hit) and len(witnesses) < limit:
+        k = slice(lo, lo + size)
+        witnesses += _witnesses(P, T, v, i_hit[k], j_hit[k], x_hit[k], piece.h_max, label)
+        lo, size = lo + size, 2 * size
+    return witnesses[:limit]
 
 
 def translate_scan(
@@ -458,8 +501,11 @@ def translate_scan(
     Maps (a, b) to a witness list; an empty list means "not found at the
     current budget", which is distinct from absence.  One
     `detect_crossings` call per translate; all of them share the stable
-    curve's segment index, so the broad phase builds it once per scan.
+    curve's segment index, so the broad phase builds it once per scan.  A
+    negative half_range raises ValueError rather than scan an empty box.
     """
+    if half_range < 0:
+        raise ValueError("half_range must be nonnegative, got %r" % (half_range,))
     table = {}
     for a in range(-half_range, half_range + 1):
         for b in range(-half_range, half_range + 1):

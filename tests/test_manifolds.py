@@ -318,6 +318,28 @@ def _ref_walk_side(T, j, direction, c, tang, piece, ell, w):
     return None
 
 
+def _ref_local_piece(P, i, x0, half_len):
+    fwd = [x0]
+    acc = 0.0
+    j = i + 1
+    prev = x0
+    while j < len(P) and acc < half_len:
+        fwd.append(P[j])
+        acc += float(np.linalg.norm(P[j] - prev))
+        prev = P[j]
+        j += 1
+    bwd = []
+    acc = 0.0
+    j = i
+    prev = x0
+    while j >= 0 and acc < half_len:
+        bwd.append(P[j])
+        acc += float(np.linalg.norm(P[j] - prev))
+        prev = P[j]
+        j -= 1
+    return np.asarray(bwd[::-1] + fwd)
+
+
 def _ref_detect_crossings(piece, target, translate=(0, 0), max_witnesses=None):
     P = piece.vertices
     T = target.vertices + np.asarray(translate, dtype=float)
@@ -327,7 +349,7 @@ def _ref_detect_crossings(piece, target, translate=(0, 0), max_witnesses=None):
         x0 = _ref_proper_intersection(P[i], P[i + 1], T[j], T[j + 1])
         if x0 is None:
             continue
-        local = manifolds._local_piece(P, i, x0, ell / 2)
+        local = _ref_local_piece(P, i, x0, ell / 2)
         tang = P[i + 1] - P[i]
         tang = tang / np.linalg.norm(tang)
         fwd = _ref_walk_side(T, j + 1, +1, x0, tang, local, ell, w)
@@ -460,6 +482,85 @@ def test_two_vertex_target():
     point = td.polyline_curve([[0.25, 0.0], [0.25, 0.0]])  # zero extent and length
     assert point.segment_index.cells.cell > 0
     assert td.detect_crossings(piece, point) == []
+
+
+def _clipped_windows():
+    # crossings on the first and the last piece segment: the local piece
+    # reaches a polyline end before its arc reaches half the rectangle
+    piece = td.polyline_curve([[0.0, 0.0], [1.0, 0.01], [2.0, 0.0]], 0.05)
+    target = td.polyline_curve([[0.1, -1.0], [0.1, -0.03], [0.1, 0.04], [0.1, 1.0], [1.93, 1.0], [1.93, -1.0]], 0.05)
+    return piece, target, None, 2
+
+
+def _walks_off_the_end():
+    # the left target ends inside the rectangle (a dead end); the right one
+    # leaves it at its last vertex
+    piece = _segment((-1, 0), (1, 0))
+    target = td.polyline_curve([[-0.35, 0.0009], [-0.35, -1.0], [0.35, -1.0], [0.35, 0.0011]])
+    return piece, target, None, 1
+
+
+def _dense_windows():
+    # both curves sampled at h/50: the local piece and both walks outgrow
+    # their first windows several times over
+    h = 0.05
+    xs = np.arange(-0.3, 0.31, h / 50)
+    piece = td.polyline_curve(np.stack([xs, 0.3 * xs * xs], axis=-1), h)
+    ys = np.arange(-0.2, 0.23, h / 50)
+    target = td.polyline_curve(np.stack([0.0123 + 0.2 * ys, ys], axis=-1), h)
+    return piece, target, None, 1
+
+
+def _touch_before_a_crossing():
+    # the first strict crossing in lexicographic order dips through the piece
+    # and back inside the rectangle (rejected, as is its partner); the first
+    # witness lies further along
+    piece = _segment((-1, 0), (1, 0))
+    target = td.polyline_curve(
+        [[-0.5, 0.0008], [-0.4995, -0.0005], [-0.499, 0.0008], [-0.4985, 1.0], [0.5, 1.0], [0.5, -1.0]]
+    )
+    return piece, target, 1, 1
+
+
+@pytest.mark.parametrize(
+    "case", [_clipped_windows, _walks_off_the_end, _dense_windows, _touch_before_a_crossing]
+)
+def test_batch_edge_cases_match_reference(case):
+    piece, target, max_witnesses, found = case()
+    got = td.detect_crossings(piece, target, (0, 0), max_witnesses)
+    _assert_same_witnesses(got, _ref_detect_crossings(piece, target, (0, 0), max_witnesses))
+    assert len(got) == found
+
+
+def test_touch_before_a_crossing_is_skipped():
+    piece, target, _, _ = _touch_before_a_crossing()
+    i, j, _ = manifolds._strict_crossings(
+        piece.vertices, target.vertices, np.zeros(2), *manifolds._segment_pairs(piece, target, np.zeros(2))
+    )
+    assert j.tolist() == [0, 1, 4]  # two strict crossings of the touch come first
+    (wit,) = td.detect_crossings(piece, target, max_witnesses=1)
+    assert wit.target_segment == 4 and wit.location[0] == pytest.approx(0.5)
+
+
+def test_detect_crossings_rejects_a_fractional_translate():
+    piece = _segment((-1, 0), (1, 0))
+    target = _segment((-0.5, -1), (-0.5, 1))
+    for v in [(0.5, 0.0), (0.0, -0.25), (float("nan"), 0.0), (float("inf"), 0.0)]:
+        with pytest.raises(ValueError, match="integer"):
+            td.detect_crossings(piece, target, v)
+    (wit,) = td.detect_crossings(piece, target, (1.0, 0.0))
+    assert wit.translate == (1, 0) and type(wit.translate[0]) is int
+    assert wit.location == pytest.approx([0.5, 0.0])
+    with pytest.raises(ValueError, match="max_witnesses"):
+        td.detect_crossings(piece, target, (1, 0), max_witnesses=0)
+
+
+def test_translate_scan_rejects_a_negative_half_range():
+    u = _segment((-0.5, 0), (0.5, 0))
+    s = _segment((0, -0.5), (0, 0.5))
+    with pytest.raises(ValueError, match="half_range"):
+        td.translate_scan(u, s, half_range=-1)
+    assert list(td.translate_scan(u, s, half_range=0)) == [(0, 0)]
 
 
 def test_segment_index_built_once_per_curve(monkeypatch):
