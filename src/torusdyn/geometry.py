@@ -119,14 +119,20 @@ class CellIndex:
         """Int arrays (i, j), in lexicographic order, of the queries i and
         points j with sqrt(dx*dx + dy*dy) <= r, (dx, dy) = point - query.
         A query scans one run per column of the cells its square of half side
-        r touches, widened by a hair against rounding in cell coordinates."""
+        r touches, widened by a hair against rounding in cell coordinates.
+        Where a subnormal cell overflows both the query's cell coordinate and
+        the reach (inf - inf), the square spans the whole axis."""
         q = np.asarray(queries, dtype=float).reshape(-1, 2)
-        reach = r / self.cell * (1.0 + 1e-9) + 1e-9
         span = []  # first and one-past-last cell of each square, x then y
-        for axis in (0, 1):
-            b = (q[:, axis] - self.lo[axis]) / self.cell
-            for edge in (np.floor(b - reach), np.floor(b + reach) + 1.0):
-                span.append(np.clip(edge, 0.0, float(self.shape[axis]), out=edge).astype(np.intp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = r / self.cell * (1.0 + 1e-9) + 1e-9
+            for axis in (0, 1):
+                b = (q[:, axis] - self.lo[axis]) / self.cell
+                top = float(self.shape[axis])
+                # fmax/fmin drop a NaN edge: the first becomes 0, the last top
+                first = np.fmin(np.fmax(np.floor(b - reach), 0.0), top)
+                last = np.fmax(np.fmin(np.floor(b + reach) + 1.0, top), 0.0)
+                span += [first.astype(np.intp), last.astype(np.intp)]
         x0, x1, y0, y1 = span
         k = np.repeat(np.arange(len(q)), x1 - x0)  # query of each scanned column
         base = _runs(x0, x1 - x0) * self.shape[1]

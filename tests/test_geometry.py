@@ -208,3 +208,16 @@ def test_cell_index_empty_results_and_cell_bound():
     wide = CellIndex(np.array([[0.0, 0.0], [1e6, 1.0]]), 1e-3)
     assert wide.cell == 1e6 / GRID_CELLS_PER_AXIS
     assert max(wide.shape) <= GRID_CELLS_PER_AXIS + 1
+
+
+def test_cell_index_subnormal_cell_overflows_to_a_full_scan():
+    # a subnormal cell overflows the query's cell coordinate and the reach
+    # to inf; the scan covers the whole grid instead of indexing with NaN
+    P = np.array([[0.0, 0.0], [0.0, 2.225e-313]])
+    index = CellIndex(P, 2.225e-313)
+    assert index.cell == 2.225e-313
+    with np.errstate(invalid="raise"):
+        for Q, r in [([[0.0, 0.5]], 0.5), ([[0.25, 0.25]], 0.5), ([[0.0, 1e-313]], 1.0), ([[0.0, 1.0]], 1e-320)]:
+            i, j = index.pairs(Q, r)
+            bi, bj = _brute_pairs(P, np.array(Q), r)
+            assert np.array_equal(i, bi) and np.array_equal(j, bj)

@@ -618,3 +618,14 @@ def test_mixing_hits_match_plane_loop_reference(std_k2, ball_v):
     want = _plane_mixing_hits(std_k2, ball_u, ball_v, 60)
     np.testing.assert_array_equal(hits, want)
     assert want[1:].any()
+
+
+def test_subnormal_target_segments_match_reference():
+    # a target whose only positive-length segment is subnormal: its cell
+    # index has a subnormal cell, whose overflowing coordinates once indexed
+    # the offset table with NaN
+    target = td.polyline_curve([[0.0, 0.0], [0.0, 2.22507386e-313], [0.0, 2.22507386e-313]], 0.01)
+    for P, v in [([[0, 0], [0, 0], [0, 1.0]], (0, 0)), ([[0, 0], [0, -0.4295]], (0, 1)), ([[-0.5, 1e-313], [0.5, 1e-313]], (0, 0))]:
+        piece = td.polyline_curve(np.array(P, dtype=float), 0.01)
+        got = td.detect_crossings(piece, target, v)
+        _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v))
