@@ -18,8 +18,10 @@ It then runs the rectangle walk on the true crossings as numpy arrays, in
 blocks taken in (piece segment, target segment) order: one block without a
 witness cap, else blocks of max_witnesses, 2*max_witnesses, ... hits until
 the cap is met.  Each hit reads its local piece and its two target walks
-through windows of polyline rows, clipped at the polyline ends; a hit that
-its windows leave undecided is walked again with windows twice as wide.
+through windows of polyline rows, clipped at the polyline ends.  A window
+that leaves its part undecided is read again twice as wide, up to the
+polyline's length, for the hits it failed alone: pieces first, then each
+walk against its hit's whole piece, in chunks of bounded size.
 Piece arc lengths are sqrt(row_dot(d, d)), the bits of `np.linalg.norm` on
 each segment, summed left to right by `np.cumsum`.
 """
@@ -44,7 +46,7 @@ MIXING_SAMPLES_PER_RADIUS = 8
 # piece, and along a target walk; each doubles for a hit it leaves undecided
 PIECE_WINDOW = 16
 WALK_WINDOW = 4
-SIDE_BATCH = 1 << 20  # (walk vertex, piece segment) pairs per side-offset batch
+SIDE_BATCH = 1 << 20  # (walk vertex, piece segment) pairs per side-offset chunk
 
 
 class NonHyperbolicError(ValueError):
@@ -328,92 +330,104 @@ def _window(n: int, start: np.ndarray, step: int, width: int):
     return np.clip(rows, 0, n - 1), (rows >= 0) & (rows < n)
 
 
-def _local_segments(P: np.ndarray, i: np.ndarray, x0: np.ndarray, half: float, width: int):
-    """Segments of each hit's local piece: P around x0 on segment i, the
-    vertices of P out to where the arc from x0 first reaches half, each way.
+def _local_pieces(P: np.ndarray, i: np.ndarray, x0: np.ndarray, half: float):
+    """Each hit's local piece: P around x0 on segment i, the vertices of P
+    out to where the arc from x0 first reaches half, each way.
 
-    Windows of `width` vertices per side; arc lengths are the cumulative
-    sums of sqrt(row_dot(d, d)).  Returns the segments in piece order as
-    start points, directions, squared lengths (1 where masked) and the mask
-    of kept nonzero-length ones, and whether each hit's windows reached
-    their cut or the polyline's end on both sides."""
-    parts = []
-    for start, step in ((i, -1), (i + 1, 1)):
-        rows, kept = _window(len(P), start, step, width)
-        V = P[rows]
-        prev = np.concatenate([x0[:, None], V[:, :-1]], axis=1)
-        # each segment runs from the earlier to the later vertex of the piece
-        a, d = (V, prev - V) if step < 0 else (prev, V - prev)
-        L2 = row_dot(d, d)
-        arc = np.cumsum(np.sqrt(L2), axis=1)
-        kept[:, 1:] &= arc[:, :-1] < half
-        parts.append((a, d, L2, kept))
-    # backward side farthest first, then forward
-    a, d, L2, kept = (np.concatenate([b[:, ::-1], f], axis=1) for b, f in zip(*parts))
-    keep = kept & (L2 != 0.0)
-    return (a, d, np.where(keep, L2, 1.0), keep), ~kept[:, 0] & ~kept[:, -1]
+    Reads windows of PIECE_WINDOW rows per side, doubled (up to len(P)) for
+    the hits whose windows end before their cut or the polyline's end; arc
+    lengths are the cumulative sums of sqrt(row_dot(d, d)).  Yields the hits
+    decided together with their segments in piece order as start points,
+    directions, squared lengths (1 where masked) and the mask of kept
+    nonzero-length ones, trimmed to the longest kept run on each side."""
+    pending, width = np.arange(len(i)), PIECE_WINDOW
+    while len(pending):
+        width = min(width, len(P))
+        parts = []
+        for start, step in ((i[pending], -1), (i[pending] + 1, 1)):
+            rows, kept = _window(len(P), start, step, width)
+            V = P[rows]
+            prev = np.concatenate([x0[pending, None], V[:, :-1]], axis=1)
+            # each segment runs from the earlier to the later vertex of the piece
+            a, d = (V, prev - V) if step < 0 else (prev, V - prev)
+            L2 = row_dot(d, d)
+            arc = np.cumsum(np.sqrt(L2), axis=1)
+            kept[:, 1:] &= arc[:, :-1] < half
+            parts.append((a, d, L2, kept))
+        done = ~parts[0][3][:, -1] & ~parts[1][3][:, -1]
+        if done.any():
+            cut = [np.flatnonzero(part[3][done].any(axis=0))[-1] + 1 for part in parts]
+            # backward side farthest first, then forward
+            a, d, L2, kept = (
+                np.concatenate([b[done, : cut[0]][:, ::-1], f[done, : cut[1]]], axis=1) for b, f in zip(*parts)
+            )
+            keep = kept & (L2 != 0.0)
+            yield pending[done], (a, d, np.where(keep, L2, 1.0), keep)
+        pending, width = pending[~done], 2 * width
 
 
 def _side_offsets(X: np.ndarray, a, d, L2, keep) -> np.ndarray:
     """Signed offsets (sign by orientation) of walk vertices X[h, k] from hit
     h's local piece, each taken from its nearest kept segment, the first on
-    ties (masked segments lie at +inf).  Hits go in batches of at most
-    SIDE_BATCH (vertex, segment) pairs."""
-    s = np.empty(X.shape[:2])
-    step = max(1, SIDE_BATCH // (X.shape[1] * a.shape[1]))
-    for lo in range(0, len(X), step):
-        h = slice(lo, lo + step)
-        x, ah, dh = X[h][:, :, None], a[h][:, None], d[h][:, None]
-        t = np.clip(row_dot(x - ah, dh) / L2[h][:, None], 0.0, 1.0)
-        off = x - (ah + t[..., None] * dh)
-        near = np.argmin(np.where(keep[h][:, None], np.sqrt(row_dot(off, off)), np.inf), axis=2)
-        r = np.arange(len(near))[:, None]
-        x, ak, dk = X[h], a[h][r, near], d[h][r, near]
-        s[h] = (dk[..., 0] * (x[..., 1] - ak[..., 1]) - dk[..., 1] * (x[..., 0] - ak[..., 0])) / np.sqrt(
-            L2[h][r, near]
-        )
-    return s
+    ties (masked segments lie at +inf).  The (hit, vertex) rows go in chunks
+    of at most SIDE_BATCH (vertex, segment) pairs, or one row when a single
+    row's segments outnumber it."""
+    x = X.reshape(-1, 2)
+    hit = np.repeat(np.arange(len(X)), X.shape[1])
+    s = np.empty(len(x))
+    step = max(1, SIDE_BATCH // a.shape[1])
+    for lo in range(0, len(x), step):
+        r = slice(lo, lo + step)
+        xr, hr = x[r], hit[r]
+        ah, dh = a[hr], d[hr]
+        t = np.clip(row_dot(xr[:, None] - ah, dh) / L2[hr], 0.0, 1.0)
+        off = xr[:, None] - (ah + t[..., None] * dh)
+        near = np.argmin(np.where(keep[hr], np.sqrt(row_dot(off, off)), np.inf), axis=1)
+        ak, dk = a[hr, near], d[hr, near]
+        s[r] = (dk[:, 0] * (xr[:, 1] - ak[:, 1]) - dk[:, 1] * (xr[:, 0] - ak[:, 0])) / np.sqrt(L2[hr, near])
+    return s.reshape(X.shape[:2])
 
 
-def _walk(T, v, start, step, width, x0, tang, segments, half, w):
+def _walk(T, v, start, step, x0, tang, segments, half, w):
     """Walk target + v from rows `start` one `step` at a time until it leaves
-    each hit's rectangle.  Returns whether the window decided the walk, the
-    first nonzero side sign up to the exit (0 when there is none, on a
-    recrossing inside the rectangle and at a dead end at the polyline's end)
-    and whether the exit is through an end (|u| > half) or a far side."""
-    rows, valid = _window(len(T), start, step, width)
-    X = T[rows] + v
-    u = row_dot(X - x0[:, None], tang[:, None])
-    s = _side_offsets(X, *segments)
-    out = valid & ~((np.abs(u) <= half) & (np.abs(s) <= w / 2))
-    exit_ = np.argmax(out, axis=1)  # the first vertex outside
-    h, k = np.arange(len(rows)), np.arange(width)
-    exited = out[h, exit_]
-    signed = (s != 0.0) & (k <= exit_[:, None])
-    sgn = np.sign(s[h, np.argmax(signed, axis=1)])  # the first nonzero side
-    recross = signed & (k < exit_[:, None]) & (np.sign(s) != sgn[:, None])
-    ok = exited & signed.any(axis=1) & ~recross.any(axis=1)
-    return exited | ~valid[:, -1], np.where(ok, sgn, 0.0), np.abs(u[h, exit_]) > half
+    each hit's rectangle.  Returns the first nonzero side sign up to the exit
+    (0 when there is none, on a recrossing inside the rectangle and at a
+    dead end at the polyline's end) and whether the exit is through an end
+    (|u| > half) or a far side.  Reads windows of WALK_WINDOW rows, doubled
+    (up to len(T)) for the walks they leave undecided."""
+    sgn = np.zeros(len(start))
+    end = np.zeros(len(start), dtype=bool)
+    pending, width = np.arange(len(start)), WALK_WINDOW
+    while len(pending):
+        h, width = pending, min(width, len(T))
+        rows, valid = _window(len(T), start[h], step, width)
+        X = T[rows] + v
+        u = row_dot(X - x0[h, None], tang[h, None])
+        s = _side_offsets(X, *(part[h] for part in segments))
+        out = valid & ~((np.abs(u) <= half) & (np.abs(s) <= w / 2))
+        exit_ = np.argmax(out, axis=1)  # the first vertex outside
+        n, k = np.arange(len(h)), np.arange(width)
+        exited = out[n, exit_]
+        signed = (s != 0.0) & (k <= exit_[:, None])
+        first = np.sign(s[n, np.argmax(signed, axis=1)])  # the first nonzero side
+        recross = signed & (k < exit_[:, None]) & (np.sign(s) != first[:, None])
+        ok = exited & signed.any(axis=1) & ~recross.any(axis=1)
+        sgn[h], end[h] = np.where(ok, first, 0.0), np.abs(u[n, exit_]) > half
+        pending, width = h[~(exited | ~valid[:, -1])], 2 * width
+    return sgn, end
 
 
 def _validate(P, T, v, i, j, x0, ell, w):
     """Rectangle walks of a block of strict crossings: the forward and
-    backward side signs and end exits per hit.  A hit whose windows end
-    before its rule is decided is walked again with windows twice as wide."""
+    backward side signs and end exits per hit, each walk against its hit's
+    whole local piece."""
     d = P[i + 1] - P[i]
     tang = d / np.sqrt(row_dot(d, d))[:, None]
     sgn = np.zeros((2, len(i)))
     end = np.zeros((2, len(i)), dtype=bool)
-    pending, scale = np.arange(len(i)), 1
-    while len(pending):
-        h = pending
-        segments, decided = _local_segments(P, i[h], x0[h], ell / 2, PIECE_WINDOW * scale)
+    for h, segments in _local_pieces(P, i, x0, ell / 2):
         for side, start, step in ((0, j[h] + 1, 1), (1, j[h], -1)):
-            walked, sgn[side, h], end[side, h] = _walk(
-                T, v, start, step, WALK_WINDOW * scale, x0[h], tang[h], segments, ell / 2, w
-            )
-            decided &= walked
-        pending, scale = h[~decided], 2 * scale
+            sgn[side, h], end[side, h] = _walk(T, v, start, step, x0[h], tang[h], segments, ell / 2, w)
     return tang, sgn, end
 
 
@@ -466,9 +480,9 @@ def detect_crossings(
     order: all at once without max_witnesses, else a first block of
     max_witnesses hits and each later one twice as large, stopping once
     max_witnesses are found.  Each hit's local piece and target walks are
-    read through windows of piece and target rows, grown by doubling until
-    they decide the hit; piece arc lengths are sqrt(row_dot(d, d)), the bits
-    of `np.linalg.norm` on each segment.
+    read through windows of piece and target rows, each grown by doubling
+    for the hits it leaves undecided; piece arc lengths are
+    sqrt(row_dot(d, d)), the bits of `np.linalg.norm` on each segment.
     """
     P, T = piece.vertices, target.vertices
     v = np.asarray(translate, dtype=float)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.spatial import cKDTree
 
 import torusdyn as td
 from torusdyn import manifolds
-from torusdyn.geometry import CellIndex, point_segment_distance
+from torusdyn.geometry import CellIndex, point_segment_distance, row_dot
 from torusdyn.manifolds import CrossingWitness, GrowthError, NonHyperbolicError
 from torusdyn.maps import make_linear_saddle
 from torusdyn.periodic import PeriodicPoint
@@ -511,6 +513,16 @@ def _dense_windows():
     return piece, target, None, 1
 
 
+def _wide_walks():
+    # a two-vertex piece with h = 0.5 against a target sampled at h/5000:
+    # each walk runs about 5,000 vertices to leave the rectangle, against a
+    # local piece of two segments
+    piece = td.polyline_curve([[-1.0, 0.0], [1.0, 0.0]], 0.5)
+    ys = np.linspace(-1.0, 1.0, 20001) + 3e-5
+    target = td.polyline_curve(np.stack([np.full_like(ys, 0.0123), ys], axis=-1), 0.5)
+    return piece, target, None, 1
+
+
 def _touch_before_a_crossing():
     # the first strict crossing in lexicographic order dips through the piece
     # and back inside the rectangle (rejected, as is its partner); the first
@@ -523,13 +535,32 @@ def _touch_before_a_crossing():
 
 
 @pytest.mark.parametrize(
-    "case", [_clipped_windows, _walks_off_the_end, _dense_windows, _touch_before_a_crossing]
+    "case", [_clipped_windows, _walks_off_the_end, _dense_windows, _wide_walks, _touch_before_a_crossing]
 )
 def test_batch_edge_cases_match_reference(case):
     piece, target, max_witnesses, found = case()
     got = td.detect_crossings(piece, target, (0, 0), max_witnesses)
     _assert_same_witnesses(got, _ref_detect_crossings(piece, target, (0, 0), max_witnesses))
     assert len(got) == found
+
+
+@pytest.mark.parametrize("batch", [1, 4096])
+def test_side_offset_chunks_match_reference(monkeypatch, batch):
+    # chunks of one walk vertex, and of a few vertices of one hit's window,
+    # bound the rows of every dot product and keep the witnesses
+    rows = []
+
+    def counting_row_dot(A, B):
+        rows.append(np.broadcast_shapes(A.shape, B.shape)[:-1])
+        return row_dot(A, B)
+
+    monkeypatch.setattr(manifolds, "SIDE_BATCH", batch)
+    monkeypatch.setattr(manifolds, "row_dot", counting_row_dot)
+    piece, target, max_witnesses, found = _dense_windows()
+    got = td.detect_crossings(piece, target, (0, 0), max_witnesses)
+    _assert_same_witnesses(got, _ref_detect_crossings(piece, target, (0, 0), max_witnesses))
+    assert len(got) == found
+    assert max(math.prod(r) for r in rows) <= max(batch, 1024)
 
 
 def test_touch_before_a_crossing_is_skipped():
