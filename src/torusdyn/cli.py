@@ -7,9 +7,11 @@ epsilon), translation (a, b), identity (none), drift_shear (d),
 linear_saddle (lam).
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
-values carry their line number; a map of the wrong homotopy class for
-rotset or vrotset; an unreadable or malformed [sft] graph, a cycle_cap
-below its vertex count, a rho outside its cycle-mean hull); 3
+values carry their line number; a negative rng_seed or --seed; an output
+directory that cannot be created, such as a path naming a file; a map of
+the wrong homotopy class for rotset or vrotset; an unreadable or malformed
+[sft] graph, a cycle_cap below its vertex count, a rho outside its
+cycle-mean hull); 3
 numerical abort (orbit escape; a non-finite image in confinement,
 omega-probe, mixing or check-all; a singular Newton matrix, failed
 manifold growth, a [grow] seed with no hyperbolic periodic point, the
@@ -30,7 +32,7 @@ import numpy as np
 from . import confinement as conf
 from . import manifolds as mfd
 from . import maps, periodic, rotation, sft
-from .config import ConfigError, RunConfig, build_map, parse_config
+from .config import ConfigError, RunConfig, _nonnegative_int, build_map, parse_config
 from .report import child_rng, write_csv, write_json, write_manifest
 from .svg import SvgCanvas, widen_range
 
@@ -489,13 +491,20 @@ RUNNERS = {
 }
 
 
+def _seed(s: str) -> int:
+    try:
+        return _nonnegative_int(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="torusdyn")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     runp = sub.add_parser("run", help="execute a config file")
     runp.add_argument("config", type=Path)
     runp.add_argument("--out", type=Path, default=None)
-    runp.add_argument("--seed", type=int, default=None)
+    runp.add_argument("--seed", type=_seed, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -506,7 +515,11 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.values["run"]["rng_seed"] = args.seed
     outdir = args.out or Path(cfg.out_dir or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print("config error: cannot create output directory: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         status = RUNNERS[cfg.command](cfg, outdir)

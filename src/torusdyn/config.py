@@ -113,7 +113,7 @@ SCHEMA = {
     },
     "run": {
         "command": (_choice(COMMANDS), None),
-        "rng_seed": (int, 0),
+        "rng_seed": (_nonnegative_int, 0),
         "out": (str, None),
     },
     "rotset": _ROTATION_KEYS,

@@ -44,7 +44,6 @@ class ConfinementCloud:
     labels: np.ndarray     # component id per point, same length
     unbounded_flags: dict  # component id -> touches window boundary
     grid_shape: tuple
-    index: np.ndarray      # (row, col) per surviving point
 
     @property
     def n_components(self) -> int:
@@ -194,18 +193,17 @@ def compute_confinement(
     mask = rep_mask[col]
     lab, n = _label(mask)
     on_boundary = _boundary_flags(lab, n)
-    index = np.argwhere(mask)
+    rows, cols = np.nonzero(mask)
     return ConfinementCloud(
         mode=mode,
         theta=theta,
         horizon=horizon,
         window=window,
         grid_step=grid_step,
-        points=np.stack([xs[index[:, 0]], ys[index[:, 1]]], axis=-1),
+        points=np.stack([xs[rows], ys[cols]], axis=-1),
         labels=lab[mask],
         unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
         grid_shape=mask.shape,
-        index=index,
     )
 
 

@@ -1,9 +1,12 @@
 """Lifted torus maps as explicit plane maps with homotopy data.
 
 A lift satisfies f(z + v) = f(z) + A @ v for every integer vector v, where A
-is either the identity or a Dehn-twist matrix [[1, k], [0, 1]].  All shipped
-maps come with closed-form forward, inverse and Jacobian rules that accept
-numpy arrays of shape (..., 2).
+is either the identity or a Dehn-twist matrix [[1, k], [0, 1]].  Each
+factory states only its closed-form formulas on split coordinates: the
+forward and inverse rules (x, y) -> (X, Y) and the Jacobian entries
+(x, y) -> (a, b, c, d).  ``_split_rule`` and ``_split_jacobian`` own the
+rest: float coercion, the (..., 2) stacking and the (..., 2, 2) layout
+[[a, b], [c, d]].  A new map is one factory and one ``BUILTIN_MAPS`` entry.
 
 Orbit loops advance their points with the map's in-place rule
 ``step(x, y)``: x and y are float64 arrays of one shape, owned by the loop,
@@ -59,12 +62,13 @@ class LiftedTorusMap:
     """A plane map covering a torus map, with closed-form rules.
 
     ``forward``, ``inverse`` map arrays of shape (..., 2) to the same shape;
-    ``jacobian`` maps them to shape (..., 2, 2).  ``step(x, y)`` overwrites
-    split x and y arrays with their ``forward`` image; left out, it is
-    derived from ``forward`` (``dataclasses.replace`` keeps the step it was
-    given).  ``is_lift`` is False for test maps (e.g. the linear saddle)
-    that do not satisfy the deck equivariance contract; such maps are
-    excluded from lift validation.
+    ``jacobian`` maps them to shape (..., 2, 2); the factories build all
+    three from split-coordinate formulas.  ``step(x, y)`` overwrites split
+    x and y arrays with their ``forward`` image; left out, it is derived
+    from ``forward`` (``dataclasses.replace`` keeps the step it was given).
+    ``is_lift`` is False for test maps (e.g. the linear saddle) that do not
+    satisfy the deck equivariance contract; such maps are excluded from
+    lift validation.
     """
 
     name: str
@@ -97,6 +101,29 @@ def _step_from_forward(forward):
     return step
 
 
+def _split_rule(rule):
+    """The (..., 2) -> (..., 2) map of a formula (x, y) -> (X, Y)."""
+
+    def apply(z):
+        z = np.asarray(z, dtype=float)
+        return np.stack(rule(z[..., 0], z[..., 1]), axis=-1)
+
+    return apply
+
+
+def _split_jacobian(entries):
+    """The (..., 2) -> (..., 2, 2) Jacobian [[a, b], [c, d]] of a formula
+    (x, y) -> (a, b, c, d); an entry may be a scalar."""
+
+    def apply(z):
+        z = np.asarray(z, dtype=float)
+        J = np.empty(z.shape[:-1] + (2, 2))
+        J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1] = entries(z[..., 0], z[..., 1])
+        return J
+
+    return apply
+
+
 def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
     """Lift of the Chirikov standard map family, with vertical perturbation.
 
@@ -118,64 +145,39 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
         y += s
         y += epsilon
 
-    def fwd(z):
-        z = np.asarray(z, dtype=float)
-        x, y = z[..., 0].copy(), z[..., 1].copy()
+    def fwd(x, y):
+        x, y = x.copy(), y.copy()
         step(x, y)
-        return np.stack([x, y], axis=-1)
+        return x, y
 
-    def inv(w):
-        w = np.asarray(w, dtype=float)
-        X, Y = w[..., 0], w[..., 1]
+    def inv(X, Y):
         x = X - Y + epsilon
-        y = Y - k * np.sin(TWO_PI * x) - epsilon
-        return np.stack([x, y], axis=-1)
+        return x, Y - k * np.sin(TWO_PI * x) - epsilon
 
-    def jac(z):
-        z = np.asarray(z, dtype=float)
-        x = z[..., 0]
+    def jac(x, y):
         c = TWO_PI * k * np.cos(TWO_PI * x)
-        J = np.empty(z.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0 + c
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = c
-        J[..., 1, 1] = 1.0
-        return J
+        return 1.0 + c, 1.0, c, 1.0
 
     return LiftedTorusMap(
         name="standard",
         params={"k": k, "epsilon": epsilon},
         homotopy=np.array([[1, 1], [0, 1]]),
-        forward=fwd,
-        inverse=inv,
-        jacobian=jac,
+        forward=_split_rule(fwd),
+        inverse=_split_rule(inv),
+        jacobian=_split_jacobian(jac),
         step=step,
     )
 
 
 def make_translation_map(a: float, b: float) -> LiftedTorusMap:
     """z -> z + (a, b), identity homotopy."""
-    t = np.array([float(a), float(b)])
-
-    def fwd(z):
-        return np.asarray(z, dtype=float) + t
-
-    def inv(w):
-        return np.asarray(w, dtype=float) - t
-
-    def jac(z):
-        z = np.asarray(z, dtype=float)
-        J = np.zeros(z.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        return J
-
+    a, b = float(a), float(b)
     return LiftedTorusMap(
         name="translation",
-        params={"a": float(a), "b": float(b)},
-        forward=fwd,
-        inverse=inv,
-        jacobian=jac,
+        params={"a": a, "b": b},
+        forward=_split_rule(lambda x, y: (x + a, y + b)),
+        inverse=_split_rule(lambda X, Y: (X - a, Y - b)),
+        jacobian=_split_jacobian(lambda x, y: (1.0, 0.0, 0.0, 1.0)),
     )
 
 
@@ -196,59 +198,24 @@ def make_drift_shear(d: float) -> LiftedTorusMap:
     def c(y):
         return d * np.sin(np.pi * y) ** 2
 
-    def fwd(z):
-        z = np.asarray(z, dtype=float)
-        x, y = z[..., 0], z[..., 1]
-        return np.stack([x + c(y), y], axis=-1)
-
-    def inv(w):
-        w = np.asarray(w, dtype=float)
-        X, Y = w[..., 0], w[..., 1]
-        return np.stack([X - c(Y), Y], axis=-1)
-
-    def jac(z):
-        z = np.asarray(z, dtype=float)
-        y = z[..., 1]
-        J = np.zeros(z.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 0, 1] = d * np.pi * np.sin(TWO_PI * y)
-        J[..., 1, 1] = 1.0
-        return J
-
     return LiftedTorusMap(
         name="drift_shear",
         params={"d": d},
-        forward=fwd,
-        inverse=inv,
-        jacobian=jac,
+        forward=_split_rule(lambda x, y: (x + c(y), y)),
+        inverse=_split_rule(lambda X, Y: (X - c(Y), Y)),
+        jacobian=_split_jacobian(lambda x, y: (1.0, d * np.pi * np.sin(TWO_PI * y), 0.0, 1.0)),
     )
 
 
 def make_linear_saddle(lam: float = 2.0) -> LiftedTorusMap:
     """(x, y) -> (lam x, y/lam).  Plane test map, not a torus lift."""
     lam = float(lam)
-
-    def fwd(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([lam * z[..., 0], z[..., 1] / lam], axis=-1)
-
-    def inv(w):
-        w = np.asarray(w, dtype=float)
-        return np.stack([w[..., 0] / lam, lam * w[..., 1]], axis=-1)
-
-    def jac(z):
-        z = np.asarray(z, dtype=float)
-        J = np.zeros(z.shape[:-1] + (2, 2))
-        J[..., 0, 0] = lam
-        J[..., 1, 1] = 1.0 / lam
-        return J
-
     return LiftedTorusMap(
         name="linear_saddle",
         params={"lam": lam},
-        forward=fwd,
-        inverse=inv,
-        jacobian=jac,
+        forward=_split_rule(lambda x, y: (lam * x, y / lam)),
+        inverse=_split_rule(lambda X, Y: (X / lam, lam * Y)),
+        jacobian=_split_jacobian(lambda x, y: (lam, 0.0, 0.0, 1.0 / lam)),
         is_lift=False,
     )
 

@@ -442,6 +442,44 @@ def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["find-periodic", "check-all"])
+def test_negative_rng_seed_exits_2(tmp_path, capsys, command):
+    text = "[map]\nmap = standard\n[run]\ncommand = %s\nrng_seed = -1\n" % command
+    code, out = _run(tmp_path, text)
+    assert code == 2
+    assert "line 5: bad value for run.rng_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", [MINIMAL_ROTSET, MINIMAL_ROTSET.replace("rotset\n", "check-all\n", 1)], ids=["rotset", "check-all"]
+)
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, text, args=["--seed", "-5"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out_run.cfg").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("leaf", ["", "sub"])
+def test_output_path_through_a_file_exits_2(tmp_path, capsys, via, leaf):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / leaf if leaf else taken
+    cfg = tmp_path / "run.cfg"
+    if via == "flag":
+        cfg.write_text(MINIMAL_ROTSET)
+        code = cli.main(["run", str(cfg), "--out", str(out)])
+    else:
+        cfg.write_text(MINIMAL_ROTSET.replace("rng_seed = 7", "rng_seed = 7\nout = %s" % out))
+        code = cli.main(["run", str(cfg)])
+    assert code == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_seed_override_recorded(tmp_path):
     code, out = _run(tmp_path, MINIMAL_ROTSET, args=["--seed", "99"])
     assert code == 0

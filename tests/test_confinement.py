@@ -74,12 +74,29 @@ def test_components_partition_points():
     assert set(cloud.unbounded_flags) == set(np.unique(cloud.labels))
 
 
+def _grid_index(cloud):
+    """(row, col) of each cloud point on its window's grid axes; every point
+    must be a grid point exactly."""
+    xs, ys = _axes(cloud.window, cloud.grid_step)
+    rows = np.searchsorted(xs, cloud.points[:, 0])
+    cols = np.searchsorted(ys, cloud.points[:, 1])
+    np.testing.assert_array_equal(cloud.points, np.stack([xs[rows], ys[cols]], axis=-1))
+    return np.stack([rows, cols], axis=-1)
+
+
+def _grid_mask(cloud):
+    mask = np.zeros(cloud.grid_shape, dtype=bool)
+    mask[tuple(_grid_index(cloud).T)] = True
+    return mask
+
+
 def _per_component_flags(cloud):
     """Reference boundary test: one pass over the survivors per component."""
     nx, ny = cloud.grid_shape
+    index = _grid_index(cloud)
     flags = {}
     for cid in np.unique(cloud.labels):
-        rows = cloud.index[cloud.labels == cid]
+        rows = index[cloud.labels == cid]
         flags[int(cid)] = bool(
             np.any(rows[:, 0] == 0)
             or np.any(rows[:, 0] == nx - 1)
@@ -93,8 +110,6 @@ def _per_component_flags(cloud):
 def test_unbounded_flags_match_per_component_loop(mode):
     m = td.make_standard_map(1.0)
     cloud = compute_confinement(m, mode, horizon=20, **SMALL)
-    axis = np.arange(-1.0, 1.0 + 1 / 32, 1 / 16)
-    np.testing.assert_array_equal(cloud.points, axis[cloud.index])
     flags = _per_component_flags(cloud)
     assert cloud.unbounded_flags == flags
     assert any(flags.values()) and not all(flags.values())
@@ -194,7 +209,6 @@ def _cloud_from_mask(mask, xs, ys, mode, window, grid_step, horizon, theta=None)
         labels=lab.flat[flat],
         unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
         grid_shape=mask.shape,
-        index=np.stack(np.unravel_index(flat, mask.shape), axis=-1),
     )
 
 
@@ -271,8 +285,7 @@ def test_non_lift_cloud_is_not_deduplicated():
     kw = dict(DECK, horizon=20)
     want = _reference_cloud(m, "south", **kw)
     _assert_same_cloud(compute_confinement(m, "south", **kw), want)
-    mask = np.zeros(want.grid_shape, dtype=bool)
-    mask[tuple(want.index.T)] = True
+    mask = _grid_mask(want)
     assert not np.array_equal(mask[32:48], mask[48:64])  # x in [0, 1) vs [1, 2)
 
 
@@ -323,8 +336,7 @@ def test_label_matches_ndimage_on_fixed_masks(mask):
 
 def test_label_matches_ndimage_on_default_south_cloud(std_k2):
     cloud = compute_confinement(std_k2, "south")
-    mask = np.zeros(cloud.grid_shape, dtype=bool)
-    mask[tuple(cloud.index.T)] = True
+    mask = _grid_mask(cloud)
     assert len(cloud.points) == 26166
     _assert_same_labels(mask)
 

@@ -183,3 +183,105 @@ def test_derived_step_writes_forward_image(m):
     x, y = z[:, 0].copy(), z[:, 1].copy()
     m.step(x, y)
     np.testing.assert_array_equal(np.stack([x, y], axis=-1), m.forward(z))
+
+
+# Every builtin map's rules, written out once more as numpy closed forms.
+# Each returns (X, Y) for forward and inverse, and [[a, b], [c, d]] for the
+# Jacobian; scalar entries are broadcast to the input's shape.
+def _standard_forms(k, eps):
+    def fwd(x, y):
+        s = k * np.sin(TWO_PI * x)
+        return x + y + s, y + s + eps
+
+    def inv(X, Y):
+        x = X - Y + eps
+        return x, Y - k * np.sin(TWO_PI * x) - eps
+
+    def jac(x, y):
+        c = TWO_PI * k * np.cos(TWO_PI * x)
+        return 1.0 + c, 1.0, c, 1.0
+
+    return td.make_standard_map(k, eps), fwd, inv, jac
+
+
+def _translation_forms(a, b):
+    return (
+        td.make_translation_map(a, b),
+        lambda x, y: (x + a, y + b),
+        lambda X, Y: (X - a, Y - b),
+        lambda x, y: (1.0, 0.0, 0.0, 1.0),
+    )
+
+
+def _identity_forms(_p, _q):
+    return (
+        td.make_identity_map(),
+        lambda x, y: (x + 0.0, y + 0.0),
+        lambda X, Y: (X - 0.0, Y - 0.0),
+        lambda x, y: (1.0, 0.0, 0.0, 1.0),
+    )
+
+
+def _drift_shear_forms(d, _q):
+    return (
+        td.make_drift_shear(d),
+        lambda x, y: (x + d * np.sin(np.pi * y) ** 2, y),
+        lambda X, Y: (X - d * np.sin(np.pi * Y) ** 2, Y),
+        lambda x, y: (1.0, d * np.pi * np.sin(TWO_PI * y), 0.0, 1.0),
+    )
+
+
+def _linear_saddle_forms(lam, _q):
+    return (
+        make_linear_saddle(lam),
+        lambda x, y: (lam * x, y / lam),
+        lambda X, Y: (X / lam, lam * Y),
+        lambda x, y: (lam, 0.0, 0.0, 1.0 / lam),
+    )
+
+
+_FORMS = {
+    "standard": _standard_forms,
+    "translation": _translation_forms,
+    "identity": _identity_forms,
+    "drift_shear": _drift_shear_forms,
+    "linear_saddle": _linear_saddle_forms,
+}
+
+
+def _pinned_points():
+    coord = st.floats(-1e8, 1e8, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 0.5, 0.25])
+    shapes = st.sampled_from([(2,), (7, 2), (3, 5, 2)])
+    return shapes.flatmap(lambda s: arrays(np.float64, s, elements=coord))
+
+
+def _stacked(x, pair):
+    return np.stack([np.broadcast_to(v, x.shape) for v in pair], axis=-1)
+
+
+def test_builtin_forms_cover_the_registry():
+    assert set(_FORMS) == set(td.maps.BUILTIN_MAPS)
+
+
+@pytest.mark.parametrize("name", sorted(_FORMS))
+@given(
+    z=_pinned_points(),
+    p=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-6),
+    q=st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_builtin_map_rules_match_closed_forms_bit_for_bit(name, z, p, q):
+    m, fwd, inv, jac = _FORMS[name](p, q)
+    x, y = z[..., 0], z[..., 1]
+    want = _stacked(x, fwd(x, y))
+    got = m.forward(z)
+    assert got.shape == z.shape and got.tobytes() == want.tobytes()
+    assert m.inverse(z).tobytes() == _stacked(x, inv(x, y)).tobytes()
+    a, b, c, d = jac(x, y)
+    J = np.stack([_stacked(x, (a, b)), _stacked(x, (c, d))], axis=-2)
+    got_J = m.jacobian(z)
+    assert got_J.shape == z.shape + (2,) and got_J.tobytes() == J.tobytes()
+    sx, sy = x.copy(), y.copy()
+    m.step(sx, sy)
+    assert sx.tobytes() == want[..., 0].tobytes()
+    assert sy.tobytes() == want[..., 1].tobytes()
