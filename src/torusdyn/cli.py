@@ -1,9 +1,10 @@
 """Command-line driver: `torusdyn run <config> [--out DIR] [--seed N]`.
 
 Every run writes its outputs plus a manifest.json that echoes the fully
-resolved config and hashes each produced file.  `[map] map = NAME` picks
-one of `maps.BUILTIN_MAPS`, each reading its own keys: standard (k,
-epsilon), translation (a, b), identity (none), drift_shear (d),
+resolved config and hashes each produced file.  The commands are
+`config.COMMANDS`; the runner of command `a-b` is `run_a_b`.  `[map] map =
+NAME` picks one of `maps.BUILTIN_MAPS`, each reading its own keys: standard
+(k, epsilon), translation (a, b), identity (none), drift_shear (d),
 linear_saddle (lam).
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
@@ -32,7 +33,7 @@ import numpy as np
 from . import confinement as conf
 from . import manifolds as mfd
 from . import maps, periodic, rotation, sft
-from .config import ConfigError, RunConfig, _nonnegative_int, build_map, parse_config
+from .config import COMMANDS, ConfigError, RunConfig, _nonnegative_int, build_map, parse_config
 from .report import child_rng, write_csv, write_json, write_manifest
 from .svg import SvgCanvas, widen_range
 
@@ -456,7 +457,7 @@ GATED_CHECKS = (
 )
 
 
-def check_all(cfg: RunConfig, outdir: Path) -> int:
+def run_check_all(cfg: RunConfig, outdir: Path) -> int:
     """End-to-end verification pipeline with one pass/fail/inconclusive row
     per structural check; the GATED_CHECKS report 'hypothesis not met,
     skipped' unless 0 is interior to the rotation estimate."""
@@ -475,20 +476,7 @@ def check_all(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_FAIL if any(status == "fail" for _, status, _ in rows) else EXIT_PASS
 
 
-RUNNERS = {
-    "rotset": run_rotset,
-    "vrotset": run_vrotset,
-    "find-periodic": run_find_periodic,
-    "grow": run_grow,
-    "scan-translates": run_scan_translates,
-    "confinement": run_confinement,
-    "omega-probe": run_omega_probe,
-    "disks": run_disks,
-    "mixing": run_mixing,
-    "sft-hull": run_sft_hull,
-    "sft-orbit": run_sft_orbit,
-    "check-all": check_all,
-}
+RUNNERS = {command: globals()["run_" + command.replace("-", "_")] for command in COMMANDS}
 
 
 def _seed(s: str) -> int:

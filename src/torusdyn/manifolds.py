@@ -28,7 +28,7 @@ each segment, summed left to right by `np.cumsum`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +68,6 @@ class ManifoldCurve:
     arclength: float
     growth_log: tuple    # (iteration levels, refinement insertions)
     h_max: float
-
-    def translated(self, v) -> "ManifoldCurve":
-        return replace(self, vertices=self.vertices + np.asarray(v, dtype=float))
 
     @cached_property
     def segment_index(self) -> "_SegmentIndex":

@@ -1,12 +1,16 @@
 """Subshifts of finite type with vector edge weights, in exact rationals.
 
 For a strongly connected graph the rotation set of the weighted subshift is
-the convex hull of simple-cycle mean weights, and any rational vector
+the convex hull of simple-cycle mean weights.  A rational vector rho
 strictly inside it is realized by a periodic word whose partial weight sums
-stay within an explicit constant of n * rho for every n; on other graphs the
-hull is still computed, but a point inside it may have no such word
-(NoCycleCombination).  Arithmetic is exact: the searches run on the cycle
-means times one common denominator, as Python ints.
+stay within an explicit constant of n * rho for every n, once rho is written
+as a combination of at most three simple cycles linked by shared vertices.
+The search is limited to such combinations, so on any graph, strongly
+connected or not, a point inside the hull can have none (NoCycleCombination).
+It takes the first combination in lexicographic order of cycle indices, by
+size: one cycle or a pair is looked up through an index of the directions
+from rho to the cycle means, and triples are scanned.  Arithmetic is exact:
+the searches run on the cycle means times one common denominator, as ints.
 
 Edges are stored as a list and may be parallel (several edges between the
 same vertex pair, e.g. two self-loops on one vertex); cycles and words are
@@ -16,9 +20,10 @@ sequences of edge indices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 
 from .geometry import _cross, _monotone_chain
@@ -122,21 +127,6 @@ def simple_cycles(sft: WeightedSft, cap: int = DEFAULT_CYCLE_CAP) -> list:
     return cycles
 
 
-def cycle_weight(sft: WeightedSft, cycle: tuple) -> Vec:
-    wx = Fraction(0)
-    wy = Fraction(0)
-    for e in cycle:
-        w = sft.edges[e][2]
-        wx += w[0]
-        wy += w[1]
-    return (wx, wy)
-
-
-def cycle_mean(sft: WeightedSft, cycle: tuple) -> Vec:
-    wx, wy = cycle_weight(sft, cycle)
-    return (wx / len(cycle), wy / len(cycle))
-
-
 def _scaled_weights(sft: WeightedSft, rho=()) -> tuple:
     """(D, w) with D the lcm of the edge-weight and rho denominators and
     w[e] the integer pair D * weight of edge e."""
@@ -146,8 +136,8 @@ def _scaled_weights(sft: WeightedSft, rho=()) -> tuple:
 
 
 def _mean_lattice(sft: WeightedSft, cycles: list, rho=()) -> tuple:
-    """(S, points) with points[i] == S * cycle_mean(sft, cycles[i]) as a
-    pair of Python ints (S is unbounded); S * rho is integral too."""
+    """(S, points) with points[i] the mean edge weight of cycles[i] times S,
+    as a pair of Python ints (S is unbounded); S * rho is integral too."""
     D, w = _scaled_weights(sft, rho)
     M = reduce(math.lcm, {len(c) for c in cycles}, 1)
     points = []
@@ -268,6 +258,45 @@ def _splice(sft: WeightedSft, cycles_rep: list) -> tuple:
     return tuple(walk)
 
 
+def _first_combination(sft: WeightedSft, cycles: list, points: list, rho_s: tuple) -> list:
+    """The first vertex-connected [(cycle, coefficient > 0), ...] that
+    realizes rho_s, in lexicographic order of cycle indices, by size 1, 2, 3.
+
+    Sizes 1 and 2 are looked up.  With no point at rho_s, points i < j hold
+    rho_s strictly between them exactly when u = p - rho_s points in
+    opposite directions at i and j; the cycles are bucketed by the primitive
+    direction of u, and for each i in order the opposite bucket is bisected
+    for its indices above i.  Size 3 is scanned."""
+    if rho_s in points:
+        return [(cycles[points.index(rho_s)], Fraction(1))]
+    rays = []
+    buckets = {}
+    for i, (x, y) in enumerate(points):
+        ux, uy = x - rho_s[0], y - rho_s[1]
+        g = math.gcd(ux, uy)
+        rays.append((ux // g, uy // g))
+        buckets.setdefault(rays[-1], []).append(i)
+
+    @cache
+    def vertices(i):
+        return set(cycle_vertices(sft, cycles[i]))
+
+    for i, (dx, dy) in enumerate(rays):
+        opposite = buckets.get((-dx, -dy), [])
+        for j in opposite[bisect_right(opposite, i):]:
+            if vertices(i) & vertices(j):
+                a, b = _solve_combination([points[i], points[j]], rho_s)
+                return [(cycles[i], a), (cycles[j], b)]
+    for combo in combinations(range(len(cycles)), 3):
+        coeffs = _solve_combination([points[i] for i in combo], rho_s)
+        if coeffs is None:
+            continue
+        active = [(cycles[i], a) for i, a in zip(combo, coeffs) if a > 0]
+        if _cycles_vertex_connected([set(cycle_vertices(sft, c)) for c, _ in active]):
+            return active
+    raise NoCycleCombination("no vertex-connected cycle combination realizes rho")
+
+
 def bounded_deviation_orbit(
     sft: WeightedSft,
     rho,
@@ -277,7 +306,8 @@ def bounded_deviation_orbit(
     """Periodic word with mean exactly rho and bounded partial-sum deviation.
 
     rho is written as an exact convex combination of at most 3 simple-cycle
-    means (Caratheodory in the plane, searched in lexicographic order), the
+    means (Caratheodory in the plane) whose cycles are linked by shared
+    vertices, the first in lexicographic order (`_first_combination`); the
     repetition counts are cleared of denominators, and the cycles are
     spliced at shared vertices into a single closed walk.  The bound
     Const = period * max edge |psi| is verified by an exact partial-sum
@@ -294,25 +324,7 @@ def bounded_deviation_orbit(
     if not point_in_hull_interior(rho_s, rational_hull(points)):
         raise ValueError("rho must lie strictly inside the cycle-mean hull")
 
-    chosen = None
-    for r in (1, 2, 3):
-        for combo in combinations(range(len(cycles)), r):
-            coeffs = _solve_combination([points[i] for i in combo], rho_s)
-            if coeffs is None:
-                continue
-            active = [
-                (cycles[i], coeffs[k]) for k, i in enumerate(combo) if coeffs[k] > 0
-            ]
-            if not _cycles_vertex_connected(
-                [set(cycle_vertices(sft, c)) for c, _ in active]
-            ):
-                continue
-            chosen = active
-            break
-        if chosen:
-            break
-    if chosen is None:
-        raise NoCycleCombination("no vertex-connected cycle combination realizes rho")
+    chosen = _first_combination(sft, cycles, points, rho_s)
 
     # integer repetitions proportional to a_i / L_i make the mean exact
     fracs = [a / len(c) for c, a in chosen]

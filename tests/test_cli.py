@@ -533,6 +533,13 @@ def test_runners_match_commands():
     assert tuple(cli.RUNNERS) == COMMANDS
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_a_runner(command):
+    runner = cli.RUNNERS[command]
+    assert runner.__module__ == "torusdyn.cli"
+    assert runner.__name__ == "run_" + command.replace("-", "_")
+
+
 def test_check_all_drift_shear_rows(tmp_path):
     # drift_shear is the identity-class map the CLI reaches; its rotation set
     # is a segment through 0, so the interiority gate stays shut
@@ -603,6 +610,11 @@ def test_check_all_reads_mixing_balls(tmp_path, monkeypatch):
 SFT_GRAPH_CASES = {
     # vertices 0 and 1 carry disjoint cycles whose three means surround (1/4, 1/4)
     "disconnected": "vertices 2\n0 0 1 0\n0 0 0 0\n1 1 0 1\n",
+    # strongly connected, but (12/11, 21/22) needs the loops at vertices 1
+    # and 2, and linking those takes four cycles
+    "strongly_connected": (
+        "vertices 3\n2 2 3 1\n0 2 3 3\n0 1 3 0\n1 0 -3 3\n2 2 0 2\n1 1 -1 -2\n2 0 -2 3\n"
+    ),
     "bad_edge": "vertices 2\n0 5 1 0\n",
     "no_count": "vertices\n0 0 1 0\n",
     "zero_denominator": "vertices 1\n0 0 1/0 0\n",
@@ -650,6 +662,12 @@ def test_sft_input_errors_exit_2(tmp_path, capsys, sft_block, message):
             "graph = {disconnected}\nrho = 1/4,1/4",
             "no vertex-connected cycle combination",
             id="no-combination",
+        ),
+        pytest.param(
+            "sft-orbit",
+            "graph = {strongly_connected}\nrho = 12/11,21/22",
+            "no vertex-connected cycle combination",
+            id="no-combination-strongly-connected",
         ),
     ],
 )

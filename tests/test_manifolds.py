@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,11 @@ def _segment(p, q, n=20, h_max=1e-3):
     return td.polyline_curve(np.asarray(p) + t * (np.asarray(q) - np.asarray(p)), h_max)
 
 
+def _translated(curve, v):
+    """The curve moved by the vector v."""
+    return replace(curve, vertices=curve.vertices + np.asarray(v, dtype=float))
+
+
 def test_detect_crossings_simple_cross():
     lam = _segment((-1, 0), (1, 0))
     K = _segment((0, -1), (0, 1))
@@ -249,7 +255,7 @@ def test_scan_symmetry_between_translates():
     u = _segment((-0.5, 0), (1.5, 0))
     s = _segment((1, -0.5), (1, 0.5))
     direct = td.detect_crossings(u, s, translate=(-1, 0))
-    swapped = td.detect_crossings(u.translated((1, 0)), s, translate=(0, 0))
+    swapped = td.detect_crossings(_translated(u, (1, 0)), s, translate=(0, 0))
     assert len(direct) == len(swapped) == 1
 
 
@@ -609,7 +615,7 @@ def test_segment_index_built_once_per_curve(monkeypatch):
     td.translate_scan(u, s, half_range=1, max_witnesses=None)
     assert s.segment_index is index
     assert built == [39]  # one index for the target; the piece needs none
-    moved = s.translated((1, 0))
+    moved = _translated(s, (1, 0))
     assert moved.segment_index is not index
     assert np.array_equal(moved.segment_index.midpoints, 0.5 * (moved.vertices[:-1] + moved.vertices[1:]))
     assert len(td.detect_crossings(u, moved, (-1, 0))) == 1

@@ -12,9 +12,7 @@ from torusdyn.sft import (
     CycleCapExceeded,
     NoCycleCombination,
     bounded_deviation_orbit,
-    cycle_mean,
     cycle_rotation_hull,
-    cycle_weight,
     make_sft,
     parse_sft,
     point_in_hull_interior,
@@ -23,6 +21,20 @@ from torusdyn.sft import (
     two_loop_example,
     verify_deviation,
 )
+
+
+def cycle_weight(sft, cycle):
+    wx = wy = F(0)
+    for e in cycle:
+        w = sft.edges[e][2]
+        wx += w[0]
+        wy += w[1]
+    return (wx, wy)
+
+
+def cycle_mean(sft, cycle):
+    wx, wy = cycle_weight(sft, cycle)
+    return (wx / len(cycle), wy / len(cycle))
 
 
 def triangle_sft():
@@ -335,6 +347,57 @@ def _multigraph_and_rho(draw):
 def test_lattice_search_matches_fraction_reference(case, horizon):
     s, rho = case
     _assert_matches_reference(s, rho, horizon)
+
+
+def _assert_index_matches_scan(s, rho):
+    """The indexed search picks the reference scan's combination."""
+    cycles = simple_cycles(s)
+    S, points = sft._mean_lattice(s, cycles, rho)
+    rho_s = (int(rho[0] * S), int(rho[1] * S))
+    chosen = sft._first_combination(s, cycles, points, rho_s)
+    assert chosen == _ref_combination(s, cycles, [cycle_mean(s, c) for c in cycles], rho)
+    _assert_matches_reference(s, rho, 100)
+    return chosen
+
+
+def test_index_finds_a_later_cycle_at_rho():
+    # loops (0, 0) and (2, 0) at vertex 0, (0, 2) and (2, 2) at vertex 1, and
+    # a 2-cycle of mean (1, 1) = rho, which sorts after the four loops; the
+    # pairs of loops through rho lie on different vertices
+    s = make_sft(2, [(0, 0, 0, 0), (0, 0, 2, 0), (1, 1, 0, 2), (1, 1, 2, 2), (0, 1, 1, 1), (1, 0, 1, 1)])
+    assert _assert_index_matches_scan(s, (F(1), F(1))) == [((4, 5), F(1))]
+
+
+def test_index_skips_an_opposite_pair_without_a_shared_vertex():
+    # from rho = (1, 1), loop 0 at vertex 0 points opposite to loop 1 at
+    # vertex 1 and to loop 4 back at vertex 0: the pair (0, 4) is taken
+    s = make_sft(2, [(0, 0, 0, 0), (1, 1, 2, 2), (0, 0, 0, 2), (1, 1, 2, 0), (0, 0, 3, 3)])
+    assert _assert_index_matches_scan(s, (F(1), F(1))) == [((0,), F(2, 3)), ((4,), F(1, 3))]
+
+
+def test_index_orders_cycles_sharing_one_direction():
+    # loops 1, 2 and 6 all point along (1, 1) from rho = (1, 1), loops 0
+    # and 3 along (-1, -1); loop 0 at vertex 0 meets none of its opposites,
+    # so loop 1 pairs with loop 3 on vertex 1 before the vertex-0 pair (4, 5)
+    s = make_sft(
+        3,
+        [(0, 0, 0, 0), (1, 1, 2, 2), (2, 2, 3, 3), (1, 1, -1, -1), (0, 0, 2, 0), (0, 0, 0, 2), (2, 2, 4, 4)],
+    )
+    assert _assert_index_matches_scan(s, (F(1), F(1))) == [((1,), F(2, 3)), ((3,), F(1, 3))]
+
+
+def test_strongly_connected_graph_can_have_no_combination():
+    # rho needs the loops at vertices 1 and 2, which share no vertex, and
+    # linking them takes four cycles
+    s = make_sft(
+        3,
+        [(2, 2, 3, 1), (0, 2, 3, 3), (0, 1, 3, 0), (1, 0, -3, 3), (2, 2, 0, 2), (1, 1, -1, -2), (2, 0, -2, 3)],
+    )
+    rho = (F(12, 11), F(21, 22))
+    assert point_in_hull_interior(rho, cycle_rotation_hull(s))
+    with pytest.raises(NoCycleCombination):
+        bounded_deviation_orbit(s, rho, 100)
+    _assert_matches_reference(s, rho, 100)
 
 
 def test_lattice_scale_beyond_int64():
