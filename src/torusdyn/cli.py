@@ -12,11 +12,12 @@ values carry their line number; a negative rng_seed or --seed; an output
 directory that cannot be created, such as a path naming a file; a map of
 the wrong homotopy class for rotset or vrotset; an unreadable or malformed
 [sft] graph, a cycle_cap below its vertex count, a rho outside its
-cycle-mean hull); 3
-numerical abort (orbit escape; a non-finite image in confinement,
-omega-probe, mixing or check-all; a singular Newton matrix, failed
-manifold growth, a [grow] seed with no hyperbolic periodic point, the
-simple-cycle cap exceeded, no vertex-connected cycle combination for rho).
+cycle-mean hull); 3 numerical abort, any `maps.NumericalAbort` (orbit
+escape; a non-finite image or orbit Jacobian; a singular Newton matrix,
+failed manifold growth, a [grow] seed with no hyperbolic periodic point,
+the simple-cycle cap exceeded, no vertex-connected cycle combination for
+rho).  In check-all an abort in a gated check reads as an inconclusive
+row; one in the rotation estimate, which decides the gate, exits 3.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def run_find_periodic(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-class SeedPointError(RuntimeError):
+class SeedPointError(maps.NumericalAbort):
     """The configured [grow] seed gives no hyperbolic periodic point."""
 
 
@@ -401,18 +402,13 @@ def _periodic_check(m, cfg):
     per = cfg.values["periodic"]
     seeds = rotation.seed_grid(per["grid"], per["grid"])
     orbits = periodic.sweep_periodic(m, per["q"], (per["p"], per["r"]), seeds, tol=per["tol"])
-    detail = "%d orbits" % len(orbits)
-    if not orbits:
-        return "inconclusive", detail
-    return "pass" if all(o.residual < per["tol"] for o in orbits) else "fail", detail
+    # the sweep keeps only orbits with residual below tol
+    return "pass" if orbits else "inconclusive", "%d orbits" % len(orbits)
 
 
 def _scan_check(m, cfg):
     half = cfg.get("translates", "range")
-    try:
-        _, wu, ws = _grow_pair(m, cfg)
-    except (periodic.SingularNewtonError, RuntimeError) as exc:
-        return "inconclusive", str(exc)
+    _, wu, ws = _grow_pair(m, cfg)
     table = mfd.translate_scan(wu, ws, half, cfg.get("translates", "max_witnesses"))
     misses = sorted(k for k, v in table.items() if not v)
     if not misses:
@@ -460,13 +456,17 @@ GATED_CHECKS = (
 def run_check_all(cfg: RunConfig, outdir: Path) -> int:
     """End-to-end verification pipeline with one pass/fail/inconclusive row
     per structural check; the GATED_CHECKS report 'hypothesis not met,
-    skipped' unless 0 is interior to the rotation estimate."""
+    skipped' unless 0 is interior to the rotation estimate, and
+    'inconclusive' with the message of a NumericalAbort they raise."""
     m = build_map(cfg)
     rows = [("deck-equivariance-and-area", *_lift_check(m, cfg))]
     name, detail, margin = _rotation_check(m)
     rows.append((name, "pass", detail))
     for name, check in GATED_CHECKS:
-        status_detail = check(m, cfg) if margin > 1e-3 else ("skipped", "hypothesis not met, skipped")
+        try:
+            status_detail = check(m, cfg) if margin > 1e-3 else ("skipped", "hypothesis not met, skipped")
+        except maps.NumericalAbort as exc:
+            status_detail = "inconclusive", str(exc)
         rows.append((name, *status_detail))
     rows.append(("sft-two-loop", *_sft_check()))
 
@@ -514,15 +514,7 @@ def main(argv=None) -> int:
     except (ConfigError, rotation.WrongHomotopyClassError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (
-        maps.OrbitEscapeError,
-        FloatingPointError,
-        periodic.SingularNewtonError,
-        mfd.GrowthError,
-        SeedPointError,
-        sft.CycleCapExceeded,
-        sft.NoCycleCombination,
-    ) as exc:
+    except maps.NumericalAbort as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     write_manifest(outdir, cfg.resolved(), cfg.warnings)

@@ -154,7 +154,7 @@ def compute_confinement(
     In theta mode the inequality is on the inner product of the iterate with
     the direction vector; in south/north mode it is on the sign of the
     vertical coordinate.  Requires the matching homotopy class.  A
-    non-finite image raises FloatingPointError.
+    non-finite image raises NonFiniteImageError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -219,7 +219,7 @@ def omega_probe(
     check only, not a proof); otherwise "persistent".  Returns
     (verdict, drifts) with the per-point projected Birkhoff means; a cloud
     with no candidate points, or none that stays in the half plane, gives
-    no drifts and "escaping".  A non-finite image raises FloatingPointError.
+    no drifts and "escaping".  A non-finite image raises NonFiniteImageError.
     """
     pts = cloud.candidate_unbounded_points()
     if len(pts) > MAX_OMEGA_SAMPLES:

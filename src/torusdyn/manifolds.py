@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import CellIndex, row_dot
-from .maps import LiftedTorusMap, require_finite
+from .maps import LiftedTorusMap, NumericalAbort, require_finite
 from .periodic import PeriodicPoint
 
 DEFAULT_H_MAX = 1e-3
@@ -53,7 +53,7 @@ class NonHyperbolicError(ValueError):
     pass
 
 
-class GrowthError(RuntimeError):
+class GrowthError(NumericalAbort):
     pass
 
 
@@ -537,7 +537,7 @@ def mixing_probe(
     Samples ball_u on a disk grid, iterates, and records per-n hits on
     ball_v.  Returns (hits, n0) where n0 is the first index with an
     unbroken hit tail up to n_max, or None when the tail is broken.  A
-    non-finite image raises FloatingPointError.
+    non-finite image raises NonFiniteImageError.
     """
     cu, ru = np.asarray(ball_u[0], float), float(ball_u[1])
     cv, rv = np.asarray(ball_v[0], float), float(ball_v[1])

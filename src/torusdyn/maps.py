@@ -26,7 +26,17 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-class OrbitEscapeError(RuntimeError):
+class NumericalAbort(RuntimeError):
+    """A probe has no answer at this input or budget: an orbit escaped, an
+    image overflowed, a Newton matrix is singular, a search ran out of
+    budget.  The CLI exits 3; a gated check-all row reads inconclusive."""
+
+
+class NonFiniteImageError(NumericalAbort, FloatingPointError):
+    """`require_finite`'s abort, also a FloatingPointError."""
+
+
+class OrbitEscapeError(NumericalAbort):
     """Raised when an orbit leaves the coordinate bound, with the number of
     map steps from the seed to the check that caught it."""
 
@@ -233,9 +243,9 @@ BUILTIN_MAPS = {
 
 
 def require_finite(*arrays):
-    """Raise FloatingPointError unless every entry of every array is finite."""
+    """Raise NonFiniteImageError unless every entry of every array is finite."""
     if not all(np.isfinite(a).all() for a in arrays):
-        raise FloatingPointError("non-finite image (parameter overflow?)")
+        raise NonFiniteImageError("non-finite image (parameter overflow?)")
 
 
 def deck_residual(m: LiftedTorusMap, z, v) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import row_dot
-from .maps import LiftedTorusMap
+from .maps import LiftedTorusMap, NumericalAbort, require_finite
 
 NEWTON_STEP_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -21,7 +21,7 @@ DEDUP_RADIUS = 1e-8
 PARABOLIC_BAND = 1e-9
 
 
-class SingularNewtonError(RuntimeError):
+class SingularNewtonError(NumericalAbort):
     """Newton matrix is (numerically) singular, e.g. at a parabolic point."""
 
 
@@ -50,6 +50,7 @@ def _periodic_point(m: LiftedTorusMap, z: np.ndarray, q: int, pr) -> PeriodicPoi
 
 
 def _make_point(z, q: int, pr, J: np.ndarray, residual) -> PeriodicPoint:
+    require_finite(J)
     return PeriodicPoint(
         point=z,
         period=q,
@@ -166,7 +167,7 @@ def newton_periodic(
 
     Returns a PeriodicPoint on convergence, None on divergence; raises
     SingularNewtonError when the Newton matrix degenerates (parabolic or
-    non-isolated solutions).
+    non-isolated solutions), NonFiniteImageError when D f^q overflows.
     """
     _check_newton_args(q, tol)
     z, status = _newton_batch(m, q, pr, [seed], max_iter)
@@ -212,7 +213,8 @@ def sweep_periodic(
     Deduplication: distance modulo integer translates below 10 * DEDUP_RADIUS
     (which covers plane distance below DEDUP_RADIUS), and cyclic shifts along
     the same q-orbit.  Singular seeds are skipped (a fully degenerate family
-    reports as an empty list).
+    reports as an empty list); a kept point whose D f^q overflows raises
+    NonFiniteImageError.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     if len(seeds) == 0:
@@ -221,7 +223,7 @@ def sweep_periodic(
     z, status = _newton_batch(m, q, pr, seeds, NEWTON_MAX_ITER)
     z = z[status <= STEP_CONVERGED]
     J, residual = _jacobian_residual(m, z, q, pr)
-    ok = ~(residual >= tol)
+    ok = residual < tol
     z, J, residual = _representatives(m, z[ok]), J[ok], residual[ok]
     # Each pass keeps the first seed left and drops every later seed that
     # duplicates it; any seed left then duplicates none of the kept ones.

@@ -27,19 +27,18 @@ from functools import cache, reduce
 from itertools import combinations
 
 from .geometry import _cross, _monotone_chain
+from .maps import NumericalAbort
 
 DEFAULT_CYCLE_CAP = 10000
 
 Vec = tuple  # (Fraction, Fraction)
 
 
-class CycleCapExceeded(RuntimeError):
-    def __init__(self, cycles):
-        super().__init__("simple-cycle cap exceeded; hull is partial")
-        self.cycles = cycles
+class CycleCapExceeded(NumericalAbort):
+    """More simple cycles than the cap: the hull would be partial."""
 
 
-class NoCycleCombination(RuntimeError):
+class NoCycleCombination(NumericalAbort):
     """rho lies inside the hull, but no vertex-connected combination of at
     most three simple cycles realizes it."""
 
@@ -120,7 +119,7 @@ def simple_cycles(sft: WeightedSft, cap: int = DEFAULT_CYCLE_CAP) -> list:
                 if w == root:
                     cycles.append(path + (e,))
                     if len(cycles) > cap:
-                        raise CycleCapExceeded(cycles)
+                        raise CycleCapExceeded("simple-cycle cap exceeded; hull is partial")
                 elif w > root and w not in seen:
                     stack.append((w, path + (e,), seen + (w,)))
     cycles.sort(key=lambda c: (len(c), c))
@@ -222,15 +221,10 @@ def _solve_combination(means: list, rho: Vec):
 
 
 def _cycles_vertex_connected(vertex_sets: list) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(vertex_sets)):
-            if j not in seen and vertex_sets[i] & vertex_sets[j]:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(vertex_sets)
+    """Whether at most three cycles are linked by shared vertices: n sets
+    are when at least n - 1 of their pairs share a vertex."""
+    shared = sum(bool(a & b) for a, b in combinations(vertex_sets, 2))
+    return shared >= len(vertex_sets) - 1
 
 
 def _splice(sft: WeightedSft, cycles_rep: list) -> tuple:

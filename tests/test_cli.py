@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdyn import cli, maps, rotation
+from torusdyn import cli, manifolds, maps, periodic, rotation, sft
 from torusdyn.config import COMMANDS, ConfigError, build_map, parse_config
 from torusdyn.report import sha256_file
 from torusdyn.svg import widen_range
@@ -195,6 +195,8 @@ def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, valu
 
 DISKS = "[map]\nmap = standard\n[run]\ncommand = disks\n[disks]\nregion = %s\nstep = 0.02\n"
 SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
+# (0, 0) is fixed at every k; at k = 1e200 its D f^2 overflows to inf
+HUGE_K_SEED = "[map]\nmap = standard\nk = 1e200\n[run]\ncommand = %s\n[grow]\nq = 2\nseed_x = 0\nseed_y = 0\n"
 
 
 @pytest.mark.parametrize(
@@ -221,6 +223,16 @@ SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
             3,
             "numerical abort: budget exhausted",
             id="grow-delta-10",
+        ),
+        *(
+            pytest.param(
+                HUGE_K_SEED % command,
+                3,
+                "numerical abort: non-finite image",
+                id=command + "-huge-k",
+                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+            )
+            for command in ("grow", "disks", "scan-translates")
         ),
     ],
 )
@@ -527,6 +539,65 @@ def test_check_all_reports_bad_seed_point_as_inconclusive(tmp_path, monkeypatch)
         "status": "inconclusive",
         "detail": "seed point is elliptic, not hyperbolic",
     }
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        maps.OrbitEscapeError,
+        maps.NonFiniteImageError,
+        periodic.SingularNewtonError,
+        manifolds.GrowthError,
+        cli.SeedPointError,
+        sft.CycleCapExceeded,
+        sft.NoCycleCombination,
+    ],
+)
+def test_numerical_failures_are_aborts(cls):
+    assert issubclass(cls, maps.NumericalAbort)
+
+
+def test_any_numerical_abort_exits_3(tmp_path, capsys, monkeypatch):
+    class PlantedAbort(maps.NumericalAbort):
+        pass
+
+    def planted(cfg, outdir):
+        raise PlantedAbort("planted")
+
+    monkeypatch.setitem(cli.RUNNERS, "rotset", planted)
+    code, out = _run(tmp_path, MINIMAL_ROTSET)
+    assert code == 3
+    assert "numerical abort: planted" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_check_all_reports_gated_abort_as_inconclusive(tmp_path, monkeypatch):
+    # with the gate open, 2000 steps of a translation by 1e308 overflow in
+    # the omega and mixing probes; the deck row fails, as z + v + a rounds
+    # to z + a at this size
+    monkeypatch.setattr(rotation, "estimate_rotation_set", _square_around_zero)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(tmp_path, "[map]\nmap = translation\na = 1e308\n[run]\ncommand = check-all\n")
+    assert code == 1
+    rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
+    assert rows["deck-equivariance-and-area"]["status"] == "fail"
+    for name in ("omega-probe", "mixing-probe"):
+        assert rows[name] == {
+            "check": name,
+            "status": "inconclusive",
+            "detail": "non-finite image (parameter overflow?)",
+        }
+
+
+def test_check_all_lets_other_runtime_errors_through(tmp_path, monkeypatch):
+    # only a numerical abort makes a row inconclusive; any other error in a
+    # check is a bug and ends the run
+    def broken_growth(*args, **kwargs):
+        raise RuntimeError("not a numerical abort")
+
+    monkeypatch.setattr(manifolds, "grow_manifold", broken_growth)
+    with pytest.raises(RuntimeError, match="not a numerical abort"):
+        _run(tmp_path, "[map]\nmap = standard\nk = 2\n[run]\ncommand = check-all\n")
 
 
 def test_runners_match_commands():

@@ -206,6 +206,13 @@ def test_k0_sweep_reports_degenerate_family_empty():
     assert sweep_periodic(m, 1, (0, 0), td.seed_grid(8, 8)) == []
 
 
+def test_sweep_non_finite_orbit_jacobian_raises():
+    # (0, 0) is fixed at every k, and at k = 1e200 its D f^2, about
+    # (2 pi k)^2, overflows to inf
+    with np.errstate(all="ignore"), pytest.raises(td.maps.NonFiniteImageError, match="non-finite image"):
+        sweep_periodic(td.make_standard_map(1e200), 2, (0, 0), td.seed_grid(16, 16))
+
+
 @pytest.mark.parametrize("g", [8, 16])
 def test_k2_sweep_exactly_two_orbits(std_k2, g):
     orbits = sweep_periodic(std_k2, 1, (0, 0), td.seed_grid(g, g))

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +70,27 @@ def test_simple_cycles_multigraph():
     assert (2, 3) in cycles  # the zero-weight 2-cycle
     with pytest.raises(CycleCapExceeded):
         simple_cycles(t, cap=1)
+
+
+def _linked_by_search(vertex_sets):
+    # reference: grow the set of cycles reached through shared vertices
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j, vs in enumerate(vertex_sets):
+            if j not in seen and vertex_sets[i] & vs:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(vertex_sets)
+
+
+def test_vertex_connected_rule_matches_search():
+    # every choice of one to three vertex sets over vertices 0..3
+    subsets = [{v for v in range(4) if mask >> v & 1} for mask in range(1, 16)]
+    for n in (1, 2, 3):
+        for sets in product(subsets, repeat=n):
+            assert sft._cycles_vertex_connected(list(sets)) == _linked_by_search(sets)
 
 
 def test_graph_without_cycle_rejected():
