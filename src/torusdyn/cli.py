@@ -2,10 +2,9 @@
 
 Every run writes its outputs plus a manifest.json that echoes the fully
 resolved config and hashes each produced file.  The commands are
-`config.COMMANDS`; the runner of command `a-b` is `run_a_b`.  `[map] map =
-NAME` picks one of `maps.BUILTIN_MAPS`, each reading its own keys: standard
-(k, epsilon), translation (a, b), identity (none), drift_shear (d),
-linear_saddle (lam).
+`config.COMMANDS`; the runner of command `a-b` is `run_a_b(run, outdir)`,
+where `run` is the `Run` that builds each artifact once.  `[map] map =
+NAME` picks one of `maps.BUILTIN_MAPS`.
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
 values carry their line number; a negative rng_seed or --seed; an output
@@ -27,6 +26,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,88 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+class SeedPointError(maps.NumericalAbort):
+    """The configured [grow] seed gives no hyperbolic periodic point."""
+
+
+class Run:
+    """One run's artifacts, each built on first use and shared by all its readers."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def m(self):
+        return build_map(self.cfg)
+
+    @cached_property
+    def seed_point(self) -> periodic.PeriodicPoint:
+        """Newton from the [grow] seed, at the doubled period if its eigenvalues are negative."""
+        g = self.cfg.values["grow"]
+        pp = periodic.newton_periodic(self.m, g["q"], (g["p"], g["r"]), (g["seed_x"], g["seed_y"]))
+        if pp is None:
+            raise SeedPointError("Newton did not converge from the configured seed")
+        if pp.classification == "hyperbolic_negative":
+            pp = pp.doubled(self.m)
+        if pp.classification != "hyperbolic_positive":
+            raise SeedPointError("seed point is %s, not hyperbolic" % pp.classification)
+        return pp
+
+    @cached_property
+    def unstable(self) -> mfd.ManifoldCurve:
+        g = self.cfg.values["grow"]
+        return mfd.grow_manifold(self.m, self.seed_point, "unstable", "+", g["budget"], g["h_max"], g["delta"])
+
+    @cached_property
+    def stable(self) -> mfd.ManifoldCurve:
+        g = self.cfg.values["grow"]
+        return mfd.grow_manifold(self.m, self.seed_point, "stable", "+", g["budget"], g["h_max"], g["delta"])
+
+    @cached_property
+    def scan(self) -> dict:
+        """(a, b) -> witnesses of W^u crossing W^s + (a, b) over [translates]."""
+        tr = self.cfg.values["translates"]
+        return mfd.translate_scan(self.unstable, self.stable, tr["range"], tr["max_witnesses"])
+
+    @cached_property
+    def orbits(self) -> list:
+        """The [periodic] sweep from a seed grid jittered by the run seed."""
+        per = self.cfg.values["periodic"]
+        g = per["grid"]
+        rng = child_rng(self.cfg.rng_seed, "periodic-sweep")
+        seeds = rotation.seed_grid(g, g) + rng.uniform(0, 1.0 / g, size=(g * g, 2))
+        return periodic.sweep_periodic(self.m, per["q"], (per["p"], per["r"]), seeds, tol=per["tol"])
+
+    @cached_property
+    def cloud(self) -> conf.ConfinementCloud:
+        w = self.cfg.get("confinement", "window")
+        return conf.compute_confinement(
+            self.m,
+            self.cfg.get("confinement", "mode"),
+            window=((-w, w), (-w, w)),
+            grid_step=self.cfg.get("confinement", "step"),
+            horizon=self.cfg.get("confinement", "horizon"),
+            theta=self.cfg.get("confinement", "theta"),
+        )
+
+    @cached_property
+    def mixing(self) -> tuple:
+        """(hits, tail start) of the [mixing] probe from ball u to ball v."""
+        mx = self.cfg.values["mixing"]
+        balls = ((mx["ux"], mx["uy"]), mx["radius"]), ((mx["vx"], mx["vy"]), mx["radius"])
+        return mfd.mixing_probe(self.m, *balls, mx["n_max"])
+
+    @cached_property
+    def sft(self):
+        path = self.cfg.get("sft", "graph")
+        if path is None:
+            return sft.two_loop_example()
+        try:
+            return sft.parse_sft(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError("[sft] graph: %s" % exc) from exc
+
+
 def _hull_svg(path, means, hull):
     lo = means.min(axis=0)
     hi = means.max(axis=0)
@@ -57,11 +139,10 @@ def _hull_svg(path, means, hull):
     c.save(path)
 
 
-def run_rotset(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    g = cfg.get("rotset", "grid")
-    n1, n2 = cfg.get("rotset", "n1"), cfg.get("rotset", "n2")
-    poly = rotation.estimate_rotation_set(m, rotation.seed_grid(g, g), (n1, n2))
+def run_rotset(run: Run, outdir: Path) -> int:
+    g = run.cfg.get("rotset", "grid")
+    n1, n2 = run.cfg.get("rotset", "n1"), run.cfg.get("rotset", "n2")
+    poly = rotation.estimate_rotation_set(run.m, rotation.seed_grid(g, g), (n1, n2))
     write_json(
         outdir / "rotset.json",
         {
@@ -85,11 +166,10 @@ def run_rotset(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_vrotset(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    g = cfg.get("vrotset", "grid")
-    n1, n2 = cfg.get("vrotset", "n1"), cfg.get("vrotset", "n2")
-    iv = rotation.estimate_vertical_rotation_set(m, rotation.seed_grid(g, g), (n1, n2))
+def run_vrotset(run: Run, outdir: Path) -> int:
+    g = run.cfg.get("vrotset", "grid")
+    n1, n2 = run.cfg.get("vrotset", "n1"), run.cfg.get("vrotset", "n2")
+    iv = rotation.estimate_vertical_rotation_set(run.m, rotation.seed_grid(g, g), (n1, n2))
     write_json(
         outdir / "vrotset.json",
         {
@@ -121,50 +201,14 @@ def _orbit_record(pp: periodic.PeriodicPoint) -> dict:
     }
 
 
-def run_find_periodic(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    q = cfg.get("periodic", "q")
-    pr = (cfg.get("periodic", "p"), cfg.get("periodic", "r"))
-    g = cfg.get("periodic", "grid")
-    rng = child_rng(cfg.rng_seed, "periodic-sweep")
-    seeds = rotation.seed_grid(g, g) + rng.uniform(0, 1.0 / g, size=(g * g, 2))
-    orbits = periodic.sweep_periodic(m, q, pr, seeds, tol=cfg.get("periodic", "tol"))
+def run_find_periodic(run: Run, outdir: Path) -> int:
+    q = run.cfg.get("periodic", "q")
+    pr = (run.cfg.get("periodic", "p"), run.cfg.get("periodic", "r"))
     write_json(
         outdir / "orbits.json",
-        {"q": q, "pr": list(pr), "count": len(orbits), "orbits": [_orbit_record(o) for o in orbits]},
+        {"q": q, "pr": list(pr), "count": len(run.orbits), "orbits": [_orbit_record(o) for o in run.orbits]},
     )
     return EXIT_PASS
-
-
-class SeedPointError(maps.NumericalAbort):
-    """The configured [grow] seed gives no hyperbolic periodic point."""
-
-
-def _hyperbolic_seed_point(m, cfg):
-    """Newton from the configured seed; pass to the doubled period when the
-    eigenvalues come out negative."""
-    q = cfg.get("grow", "q")
-    pr = (cfg.get("grow", "p"), cfg.get("grow", "r"))
-    seed = (cfg.get("grow", "seed_x"), cfg.get("grow", "seed_y"))
-    pp = periodic.newton_periodic(m, q, pr, seed)
-    if pp is None:
-        raise SeedPointError("Newton did not converge from the configured seed")
-    if pp.classification == "hyperbolic_negative":
-        pp = pp.doubled(m)
-    if pp.classification != "hyperbolic_positive":
-        raise SeedPointError("seed point is %s, not hyperbolic" % pp.classification)
-    return pp
-
-
-def _grow(m, cfg, pp, kind):
-    """The "+" branch of the `kind` manifold of pp at the [grow] budget."""
-    g = cfg.values["grow"]
-    return mfd.grow_manifold(m, pp, kind, "+", g["budget"], g["h_max"], g["delta"])
-
-
-def _grow_pair(m, cfg):
-    pp = _hyperbolic_seed_point(m, cfg)
-    return pp, _grow(m, cfg, pp, "unstable"), _grow(m, cfg, pp, "stable")
 
 
 def _tangle_svg(path, wu, ws, witnesses=()):
@@ -179,9 +223,8 @@ def _tangle_svg(path, wu, ws, witnesses=()):
     c.save(path)
 
 
-def run_grow(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    pp, wu, ws = _grow_pair(m, cfg)
+def run_grow(run: Run, outdir: Path) -> int:
+    wu, ws = run.unstable, run.stable
     for curve, tag in ((wu, "unstable"), (ws, "stable")):
         write_csv(
             outdir / ("curve_%s.csv" % tag),
@@ -191,7 +234,7 @@ def run_grow(cfg: RunConfig, outdir: Path) -> int:
     write_json(
         outdir / "grow.json",
         {
-            "owner": _orbit_record(pp),
+            "owner": _orbit_record(run.seed_point),
             "unstable": {"arclength": wu.arclength, "vertices": len(wu.vertices), "growth_log": list(wu.growth_log)},
             "stable": {"arclength": ws.arclength, "vertices": len(ws.vertices), "growth_log": list(ws.growth_log)},
         },
@@ -200,28 +243,23 @@ def run_grow(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_scan_translates(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    pp, wu, ws = _grow_pair(m, cfg)
-    half = cfg.get("translates", "range")
-    table = mfd.translate_scan(wu, ws, half, cfg.get("translates", "max_witnesses"))
+def run_scan_translates(run: Run, outdir: Path) -> int:
     rows = {}
     found = []
-    for (a, b), wits in sorted(table.items()):
+    for (a, b), wits in sorted(run.scan.items()):
         key = "%d,%d" % (a, b)
         if wits:
             rows[key] = {"status": "witness", "location": wits[0].location, "sides_hit": wits[0].sides_hit}
             found.extend(wits)
         else:
             rows[key] = {"status": "not found at current budget"}
-    write_json(outdir / "witnesses.json", {"owner": _orbit_record(pp), "table": rows})
-    _tangle_svg(outdir / "tangle.svg", wu, ws, found)
+    write_json(outdir / "witnesses.json", {"owner": _orbit_record(run.seed_point), "table": rows})
+    _tangle_svg(outdir / "tangle.svg", run.unstable, run.stable, found)
     return EXIT_PASS
 
 
-def run_confinement(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    cloud = _make_cloud(m, cfg)
+def run_confinement(run: Run, outdir: Path) -> int:
+    cloud = run.cloud
     write_json(
         outdir / "confinement.json",
         {
@@ -244,22 +282,8 @@ def run_confinement(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def _make_cloud(m, cfg):
-    w = cfg.get("confinement", "window")
-    return conf.compute_confinement(
-        m,
-        cfg.get("confinement", "mode"),
-        window=((-w, w), (-w, w)),
-        grid_step=cfg.get("confinement", "step"),
-        horizon=cfg.get("confinement", "horizon"),
-        theta=cfg.get("confinement", "theta"),
-    )
-
-
-def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    cloud = _make_cloud(m, cfg)
-    verdict, drifts = conf.omega_probe(cloud, m, cfg.get("omega", "extra"))
+def run_omega_probe(run: Run, outdir: Path) -> int:
+    verdict, drifts = conf.omega_probe(run.cloud, run.m, run.cfg.get("omega", "extra"))
     # no sample survived: null range, empty histogram
     lo = hi = None
     counts, edges = [], []
@@ -269,7 +293,7 @@ def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
     write_json(
         outdir / "omega.json",
         {
-            "mode": cloud.mode,
+            "mode": run.cloud.mode,
             "verdict": verdict,
             "samples": len(drifts),
             "drift_min": lo,
@@ -280,12 +304,10 @@ def run_omega_probe(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_disks(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    wu = _grow(m, cfg, _hyperbolic_seed_point(m, cfg), "unstable")
-    r = cfg.get("disks", "region")
+def run_disks(run: Run, outdir: Path) -> int:
+    r = run.cfg.get("disks", "region")
     report = conf.complement_disk_stats(
-        wu.vertices, ((0.0, r), (0.0, r)), cfg.get("disks", "step")
+        run.unstable.vertices, ((0.0, r), (0.0, r)), run.cfg.get("disks", "step")
     )
     write_csv(
         outdir / "disks.csv",
@@ -299,34 +321,17 @@ def run_disks(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def _mixing_balls(cfg: RunConfig):
-    """The [mixing] balls u and v as ((x, y), radius)."""
-    mx = cfg.values["mixing"]
-    return ((mx["ux"], mx["uy"]), mx["radius"]), ((mx["vx"], mx["vy"]), mx["radius"])
-
-
-def run_mixing(cfg: RunConfig, outdir: Path) -> int:
-    m = build_map(cfg)
-    hits, n0 = mfd.mixing_probe(m, *_mixing_balls(cfg), cfg.get("mixing", "n_max"))
+def run_mixing(run: Run, outdir: Path) -> int:
+    hits, n0 = run.mixing
     write_csv(outdir / "mixing.csv", ["n", "hit"], [(n, int(hits[n])) for n in range(1, len(hits))])
     write_json(outdir / "mixing.json", {"n_max": len(hits) - 1, "tail_start": n0, "hits_total": int(hits.sum())})
     return EXIT_PASS
 
 
-def _load_sft(cfg: RunConfig):
-    path = cfg.get("sft", "graph")
-    if path is None:
-        return sft.two_loop_example()
+def run_sft_hull(run: Run, outdir: Path) -> int:
+    s = run.sft
     try:
-        return sft.parse_sft(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError("[sft] graph: %s" % exc) from exc
-
-
-def run_sft_hull(cfg: RunConfig, outdir: Path) -> int:
-    s = _load_sft(cfg)
-    try:
-        hull = sft.cycle_rotation_hull(s, cfg.get("sft", "cycle_cap"))
+        hull = sft.cycle_rotation_hull(s, run.cfg.get("sft", "cycle_cap"))
     except ValueError as exc:  # cycle_cap below the vertex count
         raise ConfigError("[sft] %s" % exc) from exc
     write_json(
@@ -336,15 +341,13 @@ def run_sft_hull(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_sft_orbit(cfg: RunConfig, outdir: Path) -> int:
-    s = _load_sft(cfg)
-    rho = cfg.get("sft", "rho")
-    if rho is None:
+def run_sft_orbit(run: Run, outdir: Path) -> int:
+    s = run.sft
+    kv = run.cfg.values["sft"]
+    if kv["rho"] is None:
         raise ConfigError("sft-orbit requires 'rho' in [sft]")
     try:
-        orbit = sft.bounded_deviation_orbit(
-            s, rho, cfg.get("sft", "horizon"), cfg.get("sft", "cycle_cap")
-        )
+        orbit = sft.bounded_deviation_orbit(s, kv["rho"], kv["horizon"], kv["cycle_cap"])
     except ValueError as exc:  # rho not strictly inside the cycle-mean hull
         raise ConfigError("[sft] %s" % exc) from exc
     write_json(
@@ -398,38 +401,33 @@ def _rotation_check(m):
     return "rotation-set-hull", detail, margin
 
 
-def _periodic_check(m, cfg):
-    per = cfg.values["periodic"]
-    seeds = rotation.seed_grid(per["grid"], per["grid"])
-    orbits = periodic.sweep_periodic(m, per["q"], (per["p"], per["r"]), seeds, tol=per["tol"])
+def _periodic_check(run):
     # the sweep keeps only orbits with residual below tol
-    return "pass" if orbits else "inconclusive", "%d orbits" % len(orbits)
+    return "pass" if run.orbits else "inconclusive", "%d orbits" % len(run.orbits)
 
 
-def _scan_check(m, cfg):
-    half = cfg.get("translates", "range")
-    _, wu, ws = _grow_pair(m, cfg)
-    table = mfd.translate_scan(wu, ws, half, cfg.get("translates", "max_witnesses"))
-    misses = sorted(k for k, v in table.items() if not v)
+def _scan_check(run):
+    half = run.cfg.get("translates", "range")
+    misses = sorted(k for k, v in run.scan.items() if not v)
     if not misses:
         return "pass", "witnesses on the full %dx%d box" % (2 * half + 1, 2 * half + 1)
-    if table[(0, 0)]:
+    if run.scan[(0, 0)]:
         return "inconclusive", "missing at %s" % misses
     return "inconclusive", "no homoclinic witness at current budget"
 
 
-def _omega_check(m, cfg):
+def _omega_check(run):
     verdicts = []
-    for mode, theta in OMEGA_MODES[m.homotopy_class]:
-        cloud = conf.compute_confinement(m, mode, CHECK_WINDOW, CHECK_STEP, CHECK_HORIZON, theta)
-        verdicts.append((mode, conf.omega_probe(cloud, m, CHECK_OMEGA_ITERATIONS)[0]))
+    for mode, theta in OMEGA_MODES[run.m.homotopy_class]:
+        cloud = conf.compute_confinement(run.m, mode, CHECK_WINDOW, CHECK_STEP, CHECK_HORIZON, theta)
+        verdicts.append((mode, conf.omega_probe(cloud, run.m, CHECK_OMEGA_ITERATIONS)[0]))
     # one mode reports its bare verdict, several their (mode, verdict) list
     detail = str(verdicts) if len(verdicts) > 1 else verdicts[0][1]
     return "pass" if all(v == "escaping" for _, v in verdicts) else "inconclusive", detail
 
 
-def _mixing_check(m, cfg):
-    hits, n0 = mfd.mixing_probe(m, *_mixing_balls(cfg), cfg.get("mixing", "n_max"))
+def _mixing_check(run):
+    hits, n0 = run.mixing
     detail = "tail start %s, %d/%d hits" % (n0, int(hits.sum()), len(hits) - 1)
     return "pass" if n0 is not None else "inconclusive", detail
 
@@ -453,18 +451,17 @@ GATED_CHECKS = (
 )
 
 
-def run_check_all(cfg: RunConfig, outdir: Path) -> int:
+def run_check_all(run: Run, outdir: Path) -> int:
     """End-to-end verification pipeline with one pass/fail/inconclusive row
     per structural check; the GATED_CHECKS report 'hypothesis not met,
     skipped' unless 0 is interior to the rotation estimate, and
     'inconclusive' with the message of a NumericalAbort they raise."""
-    m = build_map(cfg)
-    rows = [("deck-equivariance-and-area", *_lift_check(m, cfg))]
-    name, detail, margin = _rotation_check(m)
+    rows = [("deck-equivariance-and-area", *_lift_check(run.m, run.cfg))]
+    name, detail, margin = _rotation_check(run.m)
     rows.append((name, "pass", detail))
     for name, check in GATED_CHECKS:
         try:
-            status_detail = check(m, cfg) if margin > 1e-3 else ("skipped", "hypothesis not met, skipped")
+            status_detail = check(run) if margin > 1e-3 else ("skipped", "hypothesis not met, skipped")
         except maps.NumericalAbort as exc:
             status_detail = "inconclusive", str(exc)
         rows.append((name, *status_detail))
@@ -510,7 +507,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        status = RUNNERS[cfg.command](cfg, outdir)
+        # every numerical failure raises a NumericalAbort; numpy's warnings only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = RUNNERS[cfg.command](Run(cfg), outdir)
     except (ConfigError, rotation.WrongHomotopyClassError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -160,7 +160,7 @@ SCHEMA = {
         "graph": (str, None),
         "rho": (_parse_rho, None),
         "horizon": (_positive_int, 10000),
-        "cycle_cap": (int, 10000),
+        "cycle_cap": (_positive_int, 10000),
     },
 }
 

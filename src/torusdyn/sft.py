@@ -9,8 +9,10 @@ The search is limited to such combinations, so on any graph, strongly
 connected or not, a point inside the hull can have none (NoCycleCombination).
 It takes the first combination in lexicographic order of cycle indices, by
 size: one cycle or a pair is looked up through an index of the directions
-from rho to the cycle means, and triples are scanned.  Arithmetic is exact:
-the searches run on the cycle means times one common denominator, as ints.
+from rho to the cycle means, and triples are scanned within each strongly
+connected component whose cycle-mean hull holds rho strictly inside.
+Arithmetic is exact: the searches run on the cycle means times one common
+denominator, as ints.
 
 Edges are stored as a list and may be parallel (several edges between the
 same vertex pair, e.g. two self-loops on one vertex); cycles and words are
@@ -19,6 +21,7 @@ sequences of edge indices.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -252,6 +255,29 @@ def _splice(sft: WeightedSft, cycles_rep: list) -> tuple:
     return tuple(walk)
 
 
+def _cycle_components(sft: WeightedSft, cycles: list) -> list:
+    """Cycle indices grouped by strongly connected component.
+
+    Cycles that share a vertex lie in one component, and the simple cycles
+    of a component link all its vertices, so the components are the classes
+    of vertices joined through common cycles."""
+    root = list(range(sft.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for c in cycles:
+        first, *rest = cycle_vertices(sft, c)
+        for v in rest:
+            root[find(v)] = find(first)
+    groups = {}
+    for i, c in enumerate(cycles):
+        groups.setdefault(find(sft.edges[c[0]][0]), []).append(i)
+    return list(groups.values())
+
+
 def _first_combination(sft: WeightedSft, cycles: list, points: list, rho_s: tuple) -> list:
     """The first vertex-connected [(cycle, coefficient > 0), ...] that
     realizes rho_s, in lexicographic order of cycle indices, by size 1, 2, 3.
@@ -260,7 +286,12 @@ def _first_combination(sft: WeightedSft, cycles: list, points: list, rho_s: tupl
     rho_s strictly between them exactly when u = p - rho_s points in
     opposite directions at i and j; the cycles are bucketed by the primitive
     direction of u, and for each i in order the opposite bucket is bisected
-    for its indices above i.  Size 3 is scanned."""
+    for its indices above i.  Size 3 is scanned, and only where it can
+    succeed: once no point or pair has matched, an accepted triple has three
+    positive coefficients and shares vertices, so its cycles lie in one
+    strongly connected component whose cycle-mean hull holds rho strictly
+    inside.  The triples of those components are merged in lexicographic
+    order."""
     if rho_s in points:
         return [(cycles[points.index(rho_s)], Fraction(1))]
     rays = []
@@ -281,7 +312,12 @@ def _first_combination(sft: WeightedSft, cycles: list, points: list, rho_s: tupl
             if vertices(i) & vertices(j):
                 a, b = _solve_combination([points[i], points[j]], rho_s)
                 return [(cycles[i], a), (cycles[j], b)]
-    for combo in combinations(range(len(cycles)), 3):
+    components = [
+        idx
+        for idx in _cycle_components(sft, cycles)
+        if point_in_hull_interior(rho_s, rational_hull([points[i] for i in idx]))
+    ]
+    for combo in heapq.merge(*(combinations(idx, 3) for idx in components)):
         coeffs = _solve_combination([points[i] for i in combo], rho_s)
         if coeffs is None:
             continue

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +245,18 @@ def test_exit_contract(tmp_path, capsys, text, code, message):
     assert message in capsys.readouterr().err
     if code == 2:
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("grow", 3), ("disks", 3), ("scan-translates", 3), ("find-periodic", 0), ("mixing", 0), ("check-all", 3)],
+)
+def test_overflow_warnings_stay_off_stderr(tmp_path, command, code):
+    # numpy warns of the overflow at k = 1e200; the exit code alone reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = _run(tmp_path, HUGE_K_SEED % command)
+    assert got == code
 
 
 def test_translate_range_zero_is_accepted():
@@ -527,10 +541,10 @@ command = check-all
 
 
 def test_check_all_reports_bad_seed_point_as_inconclusive(tmp_path, monkeypatch):
-    def no_hyperbolic_point(m, cfg):
+    def no_hyperbolic_point(run):
         raise cli.SeedPointError("seed point is elliptic, not hyperbolic")
 
-    monkeypatch.setattr(cli, "_hyperbolic_seed_point", no_hyperbolic_point)
+    monkeypatch.setattr(cli.Run, "seed_point", property(no_hyperbolic_point))
     code, out = _run(tmp_path, "[map]\nmap = standard\nk = 2\n[run]\ncommand = check-all\n")
     assert code == 0
     rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
@@ -539,6 +553,36 @@ def test_check_all_reports_bad_seed_point_as_inconclusive(tmp_path, monkeypatch)
         "status": "inconclusive",
         "detail": "seed point is elliptic, not hyperbolic",
     }
+
+
+@pytest.mark.parametrize("command, growths", [("scan-translates", 2), ("check-all", 2), ("disks", 1)])
+def test_run_builds_each_artifact_once(tmp_path, monkeypatch, command, growths):
+    # the seed point feeds both manifolds, and check-all's translate scan
+    # reads the same pair
+    calls = Counter()
+    for module, name in ((periodic, "newton_periodic"), (manifolds, "grow_manifold")):
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = %s\n[grow]\nbudget = 40\n" % command
+    code, _ = _run(tmp_path, text)
+    assert code == 0
+    assert calls == {"newton_periodic": 1, "grow_manifold": growths}
+
+
+def test_check_all_periodic_row_reads_find_periodic_sweep(tmp_path):
+    # at k = 2 the period-3 sweep keeps 9 orbits from the plain 16 x 16
+    # grid and 7 from the grid jittered by rng_seed = 3
+    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = %s\nrng_seed = 3\n[periodic]\nq = 3\n[grow]\nbudget = 40\n"
+    assert _run(tmp_path, text % "find-periodic", name="sweep.cfg")[0] == 0
+    count = json.loads((tmp_path / "out_sweep.cfg" / "orbits.json").read_text())["count"]
+    code, out = _run(tmp_path, text % "check-all", name="check.cfg")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
+    assert (count, rows["periodic-orbits"]["detail"]) == (7, "7 orbits")
 
 
 @pytest.mark.parametrize(
@@ -755,6 +799,15 @@ def test_sft_horizon_below_one_exits_2(tmp_path, capsys, horizon):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 5" in err and "sft.horizon" in err and "at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_sft_cycle_cap_below_one_exits_2(tmp_path, capsys, cap):
+    code, out = _run(tmp_path, "[run]\ncommand = sft-hull\n[sft]\ncycle_cap = %s\n" % cap)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "sft.cycle_cap" in err and "at least 1" in err
     assert not out.exists()
 
 

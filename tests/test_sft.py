@@ -421,6 +421,28 @@ def test_strongly_connected_graph_can_have_no_combination():
     _assert_matches_reference(s, rho, 100)
 
 
+def test_triples_skip_components_without_rho_inside(monkeypatch):
+    # two disjoint complete digraphs with self-loops on vertices 0-4 and 5-9,
+    # 178 simple cycles, with x = -1 on one and x = 1 on the other: rho =
+    # (0, 0) is inside the hull of all cycle means but inside neither
+    # component's, so none of the 924,176 triples can realize it
+    rows = [(5 * c + i, 5 * c + j, 2 * c - 1, j - 2) for c in (0, 1) for i in range(5) for j in range(5)]
+    s = make_sft(10, rows)
+    sizes = []
+    solve = sft._solve_combination
+    monkeypatch.setattr(sft, "_solve_combination", lambda means, rho: sizes.append(len(means)) or solve(means, rho))
+    with pytest.raises(NoCycleCombination):
+        bounded_deviation_orbit(s, (F(0), F(0)), 100)
+    assert 3 not in sizes
+
+
+def test_triples_of_two_components_around_rho():
+    # three loops around rho = (0, 0) at each of two unlinked vertices, no
+    # two of them opposite: the triples of both components are scanned
+    s = make_sft(2, [(1, 1, 2, 0), (0, 0, 1, 0), (1, 1, 0, 2), (0, 0, 0, 1), (0, 0, -1, -1), (1, 1, -2, -2)])
+    assert _assert_index_matches_scan(s, (F(0), F(0))) == [((0,), F(1, 3)), ((2,), F(1, 3)), ((5,), F(1, 3))]
+
+
 def test_lattice_scale_beyond_int64():
     # three self-loops with pairwise coprime denominators near 2**40: the
     # common denominator S is about 2**122, so any int64 lattice would wrap
