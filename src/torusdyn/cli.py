@@ -1,10 +1,10 @@
 """Command-line driver: `torusdyn run <config> [--out DIR] [--seed N]`.
 
-Every run writes its outputs plus a manifest.json that echoes the fully
-resolved config and hashes each produced file.  The commands are
-`config.COMMANDS`; the runner of command `a-b` is `run_a_b(run, outdir)`,
-where `run` is the `Run` that builds each artifact once.  `[map] map =
-NAME` picks one of `maps.BUILTIN_MAPS`.
+Every run writes its outputs plus a manifest.json that echoes [run] and
+the sections its command reads, `config.COMMANDS[command]`, and hashes each
+produced file.  The runner of command `a-b` is `run_a_b(run, outdir)`, where
+`run` is the `Run` that builds each artifact once.  `[map] map = NAME` picks
+one of `maps.BUILTIN_MAPS`; the other [map] keys are that factory's.
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
 values carry their line number; a negative rng_seed or --seed; an output

@@ -1,36 +1,40 @@
 """Run configuration: `[section]` headers with `key = value` lines.
 
-Unknown keys and bad values, among them a size, count or tolerance that is
-not positive, a map parameter, seed point, angle or ball centre that is
-not finite, a linear-saddle `lam` without a finite reciprocal, rotation
-horizons with n1 >= n2 and a [disks] region too small to hold a cell, are
-rejected with their line number; duplicate keys follow a last-wins policy
-and are recorded as warnings for the run manifest.
+A config sets [run], the sections `COMMANDS[command]` and, in [map], `map`
+and its `maps.BUILTIN_MAPS` factory's keys; the parsed values hold only
+these.  Other keys and bad values (a size, count or tolerance that is not
+positive, a non-finite map parameter, seed point, angle or ball centre, a
+linear-saddle `lam` without a finite reciprocal, rotation horizons with
+n1 >= n2, a [disks] region too small to hold a cell) fail with their line
+number; duplicate keys are last-wins, with a warning for the run manifest.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .confinement import MODES
+from . import confinement, manifolds, periodic, rotation, sft
 from .maps import BUILTIN_MAPS
 
-COMMANDS = (
-    "rotset",
-    "vrotset",
-    "find-periodic",
-    "grow",
-    "scan-translates",
-    "confinement",
-    "omega-probe",
-    "disks",
-    "mixing",
-    "sft-hull",
-    "sft-orbit",
-    "check-all",
-)
+# command -> the sections its run reads besides [run]
+COMMANDS = {
+    "rotset": ("map", "rotset"),
+    "vrotset": ("map", "vrotset"),
+    "find-periodic": ("map", "periodic"),
+    "grow": ("map", "grow"),
+    "scan-translates": ("map", "grow", "translates"),
+    "confinement": ("map", "confinement"),
+    "omega-probe": ("map", "confinement", "omega"),
+    "disks": ("map", "grow", "disks"),
+    "mixing": ("map", "mixing"),
+    "sft-hull": ("sft",),
+    "sft-orbit": ("sft",),
+    "check-all": ("map", "periodic", "grow", "translates", "mixing"),
+}
+MAP_KEYS = {name: tuple(inspect.signature(f).parameters) for name, f in BUILTIN_MAPS.items()}
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -96,14 +100,14 @@ def _parse_rho(s: str):
 # seed grid and horizons of a rotation estimate, read by [rotset] and [vrotset]
 _ROTATION_KEYS = {
     "grid": (_positive_int, 64),
-    "n1": (_positive_int, 1000),
-    "n2": (_positive_int, 10000),
+    "n1": (_positive_int, rotation.DEFAULT_HORIZONS[0]),
+    "n2": (_positive_int, rotation.DEFAULT_HORIZONS[1]),
 }
 
 # section -> key -> (parser, default); None default means required-if-used
 SCHEMA = {
     "map": {
-        "map": (_choice(tuple(BUILTIN_MAPS)), "standard"),
+        "map": (_choice(tuple(BUILTIN_MAPS)), None),
         "k": (_finite_float, 2.0),
         "epsilon": (_finite_float, 0.0),
         "a": (_finite_float, 0.0),
@@ -123,7 +127,7 @@ SCHEMA = {
         "p": (int, 0),
         "r": (int, 0),
         "grid": (_positive_int, 16),
-        "tol": (_positive_float, 1e-10),
+        "tol": (_positive_float, periodic.RESIDUAL_TOL),
     },
     "grow": {
         "q": (_positive_int, 1),
@@ -131,22 +135,22 @@ SCHEMA = {
         "r": (int, 0),
         "seed_x": (_finite_float, 0.1),
         "seed_y": (_finite_float, 0.1),
-        "budget": (_positive_float, 200.0),
-        "h_max": (_positive_float, 1e-3),
-        "delta": (_positive_float, 1e-6),
+        "budget": (_positive_float, manifolds.DEFAULT_BUDGET),
+        "h_max": (_positive_float, manifolds.DEFAULT_H_MAX),
+        "delta": (_positive_float, manifolds.DEFAULT_DELTA_SEED),
     },
     "translates": {
         "range": (_nonnegative_int, 1),
         "max_witnesses": (_positive_int, 1),
     },
     "confinement": {
-        "mode": (_choice(MODES), "south"),
+        "mode": (_choice(confinement.MODES), "south"),
         "theta": (_finite_float, 0.0),
         "window": (_positive_float, 4.0),
-        "step": (_positive_float, 1.0 / 128.0),
-        "horizon": (_positive_int, 1000),
+        "step": (_positive_float, confinement.DEFAULT_GRID_STEP),
+        "horizon": (_positive_int, confinement.DEFAULT_HORIZON),
     },
-    "omega": {"extra": (_positive_int, 10000)},
+    "omega": {"extra": (_positive_int, confinement.DEFAULT_EXTRA_ITERATIONS)},
     "disks": {"region": (_positive_float, 2.0), "step": (_positive_float, 0.02)},
     "mixing": {
         "ux": (_finite_float, 0.25),
@@ -160,7 +164,7 @@ SCHEMA = {
         "graph": (str, None),
         "rho": (_parse_rho, None),
         "horizon": (_positive_int, 10000),
-        "cycle_cap": (_positive_int, 10000),
+        "cycle_cap": (_positive_int, sft.DEFAULT_CYCLE_CAP),
     },
 }
 
@@ -190,7 +194,7 @@ class RunConfig:
         out = {}
         for sec, kv in sorted(self.values.items()):
             out[sec] = {
-                k: (str(v) if isinstance(v, (Fraction, tuple)) else v)
+                k: ("%s,%s" % v if isinstance(v, tuple) else v)
                 for k, v in sorted(kv.items())
                 if v is not None
             }
@@ -241,22 +245,28 @@ def parse_config(text: str) -> RunConfig:
         line = max(seen.get((section, a), 0), seen.get((section, b), 0))
         return ConfigError("bad value for %s.%s/%s: %s, got %r and %r" % (section, a, b, rule, va, vb), line)
 
-    for section in ("rotset", "vrotset"):
-        if values[section]["n1"] >= values[section]["n2"]:
-            raise pair_error(section, "n1", "n2", "horizons must satisfy n1 < n2")
-    if values["disks"]["region"] <= values["disks"]["step"] / 2:
-        raise pair_error("disks", "region", "step", "region must exceed half a step to hold a cell")
     if ("run", "command") not in seen:
         raise ConfigError("missing required key 'command' in [run]")
-    if ("map", "map") not in seen and values["run"]["command"] not in (
-        "sft-hull",
-        "sft-orbit",
-    ):
+    command, map_name = values["run"]["command"], values["map"]["map"]
+    if "map" in COMMANDS[command] and map_name is None:
         raise ConfigError("missing map block: set 'map' in [map]")
+    sections = ("run",) + COMMANDS[command]
+    read = {sec: ("map",) + MAP_KEYS[map_name] if sec == "map" else tuple(SCHEMA[sec]) for sec in sections}
+    for (section, key), lineno in seen.items():
+        if section not in read:
+            raise ConfigError("key %r in [%s]: %s does not read [%s]" % (key, section, command, section), lineno)
+        if key not in read[section]:  # only a [map] key: the loop rejected unknown ones
+            raise ConfigError("key %r in [map]: map %s does not take it" % (key, map_name), lineno)
+    values = {sec: {k: values[sec][k] for k in keys} for sec, keys in read.items()}
+    for section in ("rotset", "vrotset"):
+        if section in values and values[section]["n1"] >= values[section]["n2"]:
+            raise pair_error(section, "n1", "n2", "horizons must satisfy n1 < n2")
+    if "disks" in values and values["disks"]["region"] <= values["disks"]["step"] / 2:
+        raise pair_error("disks", "region", "step", "region must exceed half a step to hold a cell")
     return RunConfig(values=values, warnings=warnings)
 
 
 def build_map(cfg: RunConfig):
     """Instantiate the configured map from the [map] block."""
-    kv = cfg.values["map"]
-    return BUILTIN_MAPS[kv["map"]](kv)
+    kv = dict(cfg.values["map"])
+    return BUILTIN_MAPS[kv.pop("map")](**kv)

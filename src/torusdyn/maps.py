@@ -230,15 +230,15 @@ def make_linear_saddle(lam: float = 2.0) -> LiftedTorusMap:
     )
 
 
-# Config `map` name -> factory reading its keys from the resolved [map] block.
+# Config `map` name -> factory; its parameter names are the map's [map] keys.
 # The lambdas look the factories up by module name at call time, so a
 # factory replaced on this module (e.g. by a tracer) is the one called.
 BUILTIN_MAPS = {
-    "standard": lambda kv: make_standard_map(kv["k"], kv["epsilon"]),
-    "translation": lambda kv: make_translation_map(kv["a"], kv["b"]),
-    "identity": lambda kv: make_identity_map(),
-    "drift_shear": lambda kv: make_drift_shear(kv["d"]),
-    "linear_saddle": lambda kv: make_linear_saddle(kv["lam"]),
+    "standard": lambda k, epsilon: make_standard_map(k, epsilon),
+    "translation": lambda a, b: make_translation_map(a, b),
+    "identity": lambda: make_identity_map(),
+    "drift_shear": lambda d: make_drift_shear(d),
+    "linear_saddle": lambda lam: make_linear_saddle(lam),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdyn import cli, manifolds, maps, periodic, rotation, sft
-from torusdyn.config import COMMANDS, ConfigError, build_map, parse_config
+from torusdyn.config import COMMANDS, MAP_KEYS, ConfigError, build_map, parse_config
 from torusdyn.report import sha256_file
 from torusdyn.svg import widen_range
 
@@ -86,6 +86,36 @@ def test_parse_rho_and_comments():
     from fractions import Fraction
 
     assert cfg.get("sft", "rho") == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_parse_rho_echo_round_trips():
+    cfg = parse_config("[run]\ncommand = sft-orbit\n[sft]\nrho = 2/4, -1/3\n")
+    echo = cfg.resolved()["sft"]["rho"]
+    assert echo == "1/2,-1/3"
+    again = parse_config("[run]\ncommand = sft-orbit\n[sft]\nrho = %s\n" % echo)
+    assert again.get("sft", "rho") == cfg.get("sft", "rho")
+
+
+def test_map_key_may_precede_map_line():
+    cfg = parse_config("[map]\nk = 2\nmap = standard\n[run]\ncommand = vrotset\n")
+    assert cfg.values["map"] == {"map": "standard", "k": 2.0, "epsilon": 0.0}
+
+
+def test_last_map_line_picks_the_keys():
+    text = "[map]\nmap = translation\na = 0.5\nmap = standard\nk = 3\n[run]\ncommand = vrotset\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == "line 3: key 'a' in [map]: map standard does not take it"
+    cfg = parse_config(text.replace("a = 0.5\n", ""))
+    assert cfg.values["map"] == {"map": "standard", "k": 3.0, "epsilon": 0.0}
+    assert cfg.warnings == ["line 3: duplicate key 'map' in [map]; last value wins"]
+
+
+def test_readme_map_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|$", readme, re.M)
+    table = {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows if name != "map"}
+    assert table == MAP_KEYS
 
 
 def _run(tmp_path, text, name="run.cfg", args=()):
@@ -187,18 +217,52 @@ def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
     ],
 )
 def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, value):
-    text = "[map]\nmap = standard\n[run]\ncommand = %s\n[%s]\n%s = %s\n"
-    code, out = _run(tmp_path, text % (command, section, key, value))
+    # each [map] key is set on a map that takes it
+    map_of = {"a": "translation", "b": "translation", "d": "drift_shear", "lam": "linear_saddle"}
+    text = "[map]\nmap = %s\n[run]\ncommand = %s\n[%s]\n%s = %s\n"
+    code, out = _run(tmp_path, text % (map_of.get(key, "standard"), command, section, key, value))
     assert code == 2
     err = capsys.readouterr().err
     assert "line 6" in err and "%s.%s" % (section, key) in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_key_in_unread_section_exits_2(tmp_path, capsys, command):
+    # the key comes before the command, so it is checked after the parse loop
+    section, key = ("mixing", "n_max") if "confinement" in COMMANDS[command] else ("confinement", "window")
+    map_block = "[map]\nmap = standard\n" if "map" in COMMANDS[command] else ""
+    code, out = _run(tmp_path, "[%s]\n%s = 1\n[run]\ncommand = %s\n%s" % (section, key, command, map_block))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2: key %r in [%s]: %s does not read [%s]" % (key, section, command, section) in err
+    assert not out.exists()
+
+
+def test_key_of_another_map_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, "[map]\nmap = translation\nk = 7\n[run]\ncommand = find-periodic\n")
+    assert code == 2
+    assert "line 3: key 'k' in [map]: map translation does not take it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_echoes_only_the_sections_read(tmp_path, monkeypatch, command):
+    monkeypatch.setitem(cli.RUNNERS, command, lambda run, outdir: 0)
+    map_block = "[map]\nmap = standard\n" if "map" in COMMANDS[command] else ""
+    code, out = _run(tmp_path, "%s[run]\ncommand = %s\n" % (map_block, command))
+    assert code == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(echo) == {"run", *COMMANDS[command]}
+    if map_block:
+        assert echo["map"] == {"map": "standard", "k": 2.0, "epsilon": 0.0}
+
+
 DISKS = "[map]\nmap = standard\n[run]\ncommand = disks\n[disks]\nregion = %s\nstep = 0.02\n"
 SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
 # (0, 0) is fixed at every k; at k = 1e200 its D f^2 overflows to inf
-HUGE_K_SEED = "[map]\nmap = standard\nk = 1e200\n[run]\ncommand = %s\n[grow]\nq = 2\nseed_x = 0\nseed_y = 0\n"
+HUGE_K = "[map]\nmap = standard\nk = 1e200\n[run]\ncommand = %s\n"
+HUGE_K_SEED = HUGE_K + "[grow]\nq = 2\nseed_x = 0\nseed_y = 0\n"
 
 
 @pytest.mark.parametrize(
@@ -255,7 +319,7 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, command, code):
     # numpy warns of the overflow at k = 1e200; the exit code alone reports it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, _ = _run(tmp_path, HUGE_K_SEED % command)
+        got, _ = _run(tmp_path, (HUGE_K_SEED if "grow" in COMMANDS[command] else HUGE_K) % command)
     assert got == code
 
 
@@ -303,7 +367,9 @@ def test_numerical_abort_exits_3(tmp_path, grow):
     ],
 )
 def test_non_finite_image_exits_3(tmp_path, capsys, command, sizes):
-    text = "[map]\nmap = standard\nk = 1e308\n[run]\ncommand = %s\n%s[confinement]\nwindow = 1\nstep = 0.25\n"
+    text = "[map]\nmap = standard\nk = 1e308\n[run]\ncommand = %s\n%s"
+    if "confinement" in COMMANDS[command]:
+        text += "[confinement]\nwindow = 1\nstep = 0.25\n"
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = _run(tmp_path, text % (command, sizes))
     assert code == 3
@@ -576,10 +642,10 @@ def test_run_builds_each_artifact_once(tmp_path, monkeypatch, command, growths):
 def test_check_all_periodic_row_reads_find_periodic_sweep(tmp_path):
     # at k = 2 the period-3 sweep keeps 9 orbits from the plain 16 x 16
     # grid and 7 from the grid jittered by rng_seed = 3
-    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = %s\nrng_seed = 3\n[periodic]\nq = 3\n[grow]\nbudget = 40\n"
+    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = %s\nrng_seed = 3\n[periodic]\nq = 3\n"
     assert _run(tmp_path, text % "find-periodic", name="sweep.cfg")[0] == 0
     count = json.loads((tmp_path / "out_sweep.cfg" / "orbits.json").read_text())["count"]
-    code, out = _run(tmp_path, text % "check-all", name="check.cfg")
+    code, out = _run(tmp_path, text % "check-all" + "[grow]\nbudget = 40\n", name="check.cfg")
     assert code == 0
     rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
     assert (count, rows["periodic-orbits"]["detail"]) == (7, "7 orbits")
@@ -645,7 +711,7 @@ def test_check_all_lets_other_runtime_errors_through(tmp_path, monkeypatch):
 
 
 def test_runners_match_commands():
-    assert tuple(cli.RUNNERS) == COMMANDS
+    assert tuple(cli.RUNNERS) == tuple(COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
