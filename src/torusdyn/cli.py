@@ -1,22 +1,23 @@
 """Command-line driver: `torusdyn run <config> [--out DIR] [--seed N]`.
 
-Every run writes its outputs plus a manifest.json that echoes [run] and
-the sections its command reads, `config.COMMANDS[command]`, and hashes each
-produced file.  The runner of command `a-b` is `run_a_b(run, outdir)`, where
-`run` is the `Run` that builds each artifact once.  `[map] map = NAME` picks
-one of `maps.BUILTIN_MAPS`; the other [map] keys are that factory's.
+Every run writes its outputs plus a manifest.json that echoes the keys it
+reads ([run], the sections `config.COMMANDS[command]` and the keys their
+`config.CHOSEN` choosers pick), check-all's `CHECK_FIXED` budgets, and
+hashes each produced file.  The runner of command `a-b` is `run_a_b(run,
+outdir)`, where `run` is the `Run` that builds each artifact once.
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
-values carry their line number; a negative rng_seed or --seed; an output
-directory that cannot be created, such as a path naming a file; a map of
-the wrong homotopy class for rotset or vrotset; an unreadable or malformed
-[sft] graph, a cycle_cap below its vertex count, a rho outside its
-cycle-mean hull); 3 numerical abort, any `maps.NumericalAbort` (orbit
-escape; a non-finite image or orbit Jacobian; a singular Newton matrix,
-failed manifold growth, a [grow] seed with no hyperbolic periodic point,
-the simple-cycle cap exceeded, no vertex-connected cycle combination for
-rho).  In check-all an abort in a gated check reads as an inconclusive
-row; one in the rotation estimate, which decides the gate, exits 3.
+values and unread keys carry their line number; a missing command, map or
+sft-orbit rho; a negative rng_seed or --seed; an output directory that
+cannot be created, such as a path naming a file; a map of the wrong
+homotopy class for rotset or vrotset; an unreadable or malformed [sft]
+graph, a cycle_cap below its vertex count, a rho outside its cycle-mean
+hull); 3 numerical abort, any `maps.NumericalAbort` (orbit escape; a
+non-finite image or orbit Jacobian; a singular Newton matrix, failed
+manifold growth, a [grow] seed with no hyperbolic periodic point, the
+simple-cycle cap exceeded, no vertex-connected cycle combination for rho).
+In check-all an abort in a gated check reads as an inconclusive row; one in
+the rotation estimate, which decides the gate, exits 3.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class Run:
             window=((-w, w), (-w, w)),
             grid_step=self.cfg.get("confinement", "step"),
             horizon=self.cfg.get("confinement", "horizon"),
-            theta=self.cfg.get("confinement", "theta"),
+            theta=self.cfg.values["confinement"].get("theta"),  # read in theta mode only
         )
 
     @cached_property
@@ -344,8 +345,6 @@ def run_sft_hull(run: Run, outdir: Path) -> int:
 def run_sft_orbit(run: Run, outdir: Path) -> int:
     s = run.sft
     kv = run.cfg.values["sft"]
-    if kv["rho"] is None:
-        raise ConfigError("sft-orbit requires 'rho' in [sft]")
     try:
         orbit = sft.bounded_deviation_orbit(s, kv["rho"], kv["horizon"], kv["cycle_cap"])
     except ValueError as exc:  # rho not strictly inside the cycle-mean hull
@@ -364,17 +363,12 @@ def run_sft_orbit(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-# check-all's fixed budgets
-CHECK_GRID = 32
-CHECK_HORIZONS = (500, 5000)
-CHECK_WINDOW = ((-2.0, 2.0), (-2.0, 2.0))
-CHECK_STEP = 1.0 / 32.0
-CHECK_HORIZON = 300
-CHECK_OMEGA_ITERATIONS = 2000
-# check-all's omega probe: (mode, theta) per half plane, by homotopy class
-OMEGA_MODES = {
-    "dehn": (("south", None), ("north", None)),
-    "identity": (("theta", np.pi / 2),),
+# check-all's budgets, set by no key and echoed as "fixed"; omega_modes: (mode, theta) per class
+CHECK_FIXED = {
+    "rotation": {"grid": 32, "horizons": (500, 5000)},
+    "confinement": {"window": ((-2.0, 2.0), (-2.0, 2.0)), "grid_step": 1.0 / 32.0, "horizon": 300},
+    "omega_iterations": 2000,
+    "omega_modes": {"dehn": (("south", None), ("north", None)), "identity": (("theta", np.pi / 2),)},
 }
 
 
@@ -389,13 +383,14 @@ def _lift_check(m, cfg):
 
 def _rotation_check(m):
     """Row name, detail and zero margin of the homotopy class's rotation set."""
-    seeds = rotation.seed_grid(CHECK_GRID, CHECK_GRID)
+    rot = CHECK_FIXED["rotation"]
+    seeds = rotation.seed_grid(rot["grid"], rot["grid"])
     if m.homotopy_class == "dehn":
-        iv = rotation.estimate_vertical_rotation_set(m, seeds, CHECK_HORIZONS)
+        iv = rotation.estimate_vertical_rotation_set(m, seeds, rot["horizons"])
         margin = iv.margin(0.0)
         detail = "[%r, %r], gap %.2e, zero margin %r" % (iv.lo, iv.hi, iv.hausdorff_gap, margin)
         return "vertical-rotation-interval", detail, margin
-    poly = rotation.estimate_rotation_set(m, seeds, CHECK_HORIZONS)
+    poly = rotation.estimate_rotation_set(m, seeds, rot["horizons"])
     margin = poly.margin((0.0, 0.0))
     detail = "%d hull vertices, gap %.2e, zero margin %r" % (len(poly.hull), poly.hausdorff_gap, margin)
     return "rotation-set-hull", detail, margin
@@ -418,9 +413,9 @@ def _scan_check(run):
 
 def _omega_check(run):
     verdicts = []
-    for mode, theta in OMEGA_MODES[run.m.homotopy_class]:
-        cloud = conf.compute_confinement(run.m, mode, CHECK_WINDOW, CHECK_STEP, CHECK_HORIZON, theta)
-        verdicts.append((mode, conf.omega_probe(cloud, run.m, CHECK_OMEGA_ITERATIONS)[0]))
+    for mode, theta in CHECK_FIXED["omega_modes"][run.m.homotopy_class]:
+        cloud = conf.compute_confinement(run.m, mode, theta=theta, **CHECK_FIXED["confinement"])
+        verdicts.append((mode, conf.omega_probe(cloud, run.m, CHECK_FIXED["omega_iterations"])[0]))
     # one mode reports its bare verdict, several their (mode, verdict) list
     detail = str(verdicts) if len(verdicts) > 1 else verdicts[0][1]
     return "pass" if all(v == "escaping" for _, v in verdicts) else "inconclusive", detail
@@ -437,7 +432,7 @@ def _sft_check():
     s = sft.two_loop_example()
     hull = sft.cycle_rotation_hull(s)
     hull_ok = hull == [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
-    orbit = sft.bounded_deviation_orbit(s, (Fraction(1, 2), Fraction(1, 2)), 10000)
+    orbit = sft.bounded_deviation_orbit(s, (Fraction(1, 2), Fraction(1, 2)), sft.DEFAULT_HORIZON)
     dev_ok = orbit.max_deviation_sq == Fraction(1, 2)
     return "pass" if hull_ok and dev_ok else "fail", "hull %s" % hull_ok
 
@@ -516,7 +511,7 @@ def main(argv=None) -> int:
     except maps.NumericalAbort as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
-    write_manifest(outdir, cfg.resolved(), cfg.warnings)
+    write_manifest(outdir, cfg.resolved(), cfg.warnings, CHECK_FIXED if cfg.command == "check-all" else None)
     return status
 
 

@@ -1,8 +1,9 @@
 """Run configuration: `[section]` headers with `key = value` lines.
 
-A config sets [run], the sections `COMMANDS[command]` and, in [map], `map`
-and its `maps.BUILTIN_MAPS` factory's keys; the parsed values hold only
-these.  Other keys and bad values (a size, count or tolerance that is not
+A config sets [run], the sections `COMMANDS[command]` and, in a `CHOSEN`
+section, the keys its chooser picks (`[map] map`, `[confinement] mode`,
+`[run] command`); the parsed values hold only these, each REQUIRED one
+set.  Other keys and bad values (a size, count or tolerance that is not
 positive, a non-finite map parameter, seed point, angle or ball centre, a
 linear-saddle `lam` without a finite reciprocal, rotation horizons with
 n1 >= n2, a [disks] region too small to hold a cell) fail with their line
@@ -35,6 +36,13 @@ COMMANDS = {
     "check-all": ("map", "periodic", "grow", "translates", "mixing"),
 }
 MAP_KEYS = {name: tuple(inspect.signature(f).parameters) for name, f in BUILTIN_MAPS.items()}
+# section -> (its chooser (section, key), value -> the optional keys that value reads)
+CHOSEN = {
+    "map": (("map", "map"), MAP_KEYS),
+    "confinement": (("confinement", "mode"), {"theta": ("theta",)}),
+    "sft": (("run", "command"), {"sft-orbit": ("rho", "horizon")}),
+}
+REQUIRED = object()  # default of a key a run reading it must set; while unset, all it chooses is read
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -104,10 +112,10 @@ _ROTATION_KEYS = {
     "n2": (_positive_int, rotation.DEFAULT_HORIZONS[1]),
 }
 
-# section -> key -> (parser, default); None default means required-if-used
+# section -> key -> (parser, default); a None default leaves the value unset
 SCHEMA = {
     "map": {
-        "map": (_choice(tuple(BUILTIN_MAPS)), None),
+        "map": (_choice(tuple(BUILTIN_MAPS)), REQUIRED),
         "k": (_finite_float, 2.0),
         "epsilon": (_finite_float, 0.0),
         "a": (_finite_float, 0.0),
@@ -116,7 +124,7 @@ SCHEMA = {
         "lam": (_invertible_float, 2.0),
     },
     "run": {
-        "command": (_choice(COMMANDS), None),
+        "command": (_choice(COMMANDS), REQUIRED),
         "rng_seed": (_nonnegative_int, 0),
         "out": (str, None),
     },
@@ -146,7 +154,7 @@ SCHEMA = {
     "confinement": {
         "mode": (_choice(confinement.MODES), "south"),
         "theta": (_finite_float, 0.0),
-        "window": (_positive_float, 4.0),
+        "window": (_positive_float, confinement.DEFAULT_WINDOW[0][1]),
         "step": (_positive_float, confinement.DEFAULT_GRID_STEP),
         "horizon": (_positive_int, confinement.DEFAULT_HORIZON),
     },
@@ -162,8 +170,8 @@ SCHEMA = {
     },
     "sft": {
         "graph": (str, None),
-        "rho": (_parse_rho, None),
-        "horizon": (_positive_int, 10000),
+        "rho": (_parse_rho, REQUIRED),
+        "horizon": (_positive_int, sft.DEFAULT_HORIZON),
         "cycle_cap": (_positive_int, sft.DEFAULT_CYCLE_CAP),
     },
 }
@@ -245,18 +253,26 @@ def parse_config(text: str) -> RunConfig:
         line = max(seen.get((section, a), 0), seen.get((section, b), 0))
         return ConfigError("bad value for %s.%s/%s: %s, got %r and %r" % (section, a, b, rule, va, vb), line)
 
-    if ("run", "command") not in seen:
-        raise ConfigError("missing required key 'command' in [run]")
-    command, map_name = values["run"]["command"], values["map"]["map"]
-    if "map" in COMMANDS[command] and map_name is None:
-        raise ConfigError("missing map block: set 'map' in [map]")
-    sections = ("run",) + COMMANDS[command]
-    read = {sec: ("map",) + MAP_KEYS[map_name] if sec == "map" else tuple(SCHEMA[sec]) for sec in sections}
+    def read_keys(sec):
+        """The keys of `sec` this run reads: all but the optional ones its chooser does not pick."""
+        if sec not in CHOSEN:
+            return tuple(SCHEMA[sec])
+        (cs, ck), choices = CHOSEN[sec]
+        optional = {k for chosen in choices.values() for k in chosen}
+        picked = optional if values[cs][ck] is REQUIRED else choices.get(values[cs][ck], ())
+        return tuple(k for k in SCHEMA[sec] if k not in optional or k in picked)
+
+    command = values["run"]["command"]
+    read = {sec: read_keys(sec) for sec in ("run", *COMMANDS.get(command, SCHEMA))}
     for (section, key), lineno in seen.items():
         if section not in read:
             raise ConfigError("key %r in [%s]: %s does not read [%s]" % (key, section, command, section), lineno)
-        if key not in read[section]:  # only a [map] key: the loop rejected unknown ones
-            raise ConfigError("key %r in [map]: map %s does not take it" % (key, map_name), lineno)
+        if key not in read[section]:  # an optional key: the loop rejected unknown ones
+            (cs, ck), _ = CHOSEN[section]
+            raise ConfigError("key %r in [%s]: %s %s does not take it" % (key, section, ck, values[cs][ck]), lineno)
+    missing = [(key, sec) for sec, keys in read.items() for key in keys if values[sec][key] is REQUIRED]
+    if missing:
+        raise ConfigError("missing required key %r in [%s]" % missing[0])
     values = {sec: {k: values[sec][k] for k in keys} for sec, keys in read.items()}
     for section in ("rotset", "vrotset"):
         if section in values and values[section]["n1"] >= values[section]["n2"]:

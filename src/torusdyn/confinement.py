@@ -153,8 +153,9 @@ def compute_confinement(
 
     In theta mode the inequality is on the inner product of the iterate with
     the direction vector; in south/north mode it is on the sign of the
-    vertical coordinate.  Requires the matching homotopy class.  A
-    non-finite image raises NonFiniteImageError.
+    vertical coordinate.  Nothing checks the homotopy class: any mode runs
+    on any map.  A horizon below 1, theta mode without an angle or an empty
+    grid raises ValueError, and a non-finite image NonFiniteImageError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

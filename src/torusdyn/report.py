@@ -54,8 +54,8 @@ def child_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(name.encode())]))
 
 
-def write_manifest(outdir, config_echo, warnings) -> Path:
-    """List every produced file with a content hash; written last."""
+def write_manifest(outdir, config_echo, warnings, fixed=None) -> Path:
+    """List every produced file with a content hash, and `fixed` if given; written last."""
     outdir = Path(outdir)
     outputs = {}
     for p in sorted(outdir.iterdir()):
@@ -63,6 +63,8 @@ def write_manifest(outdir, config_echo, warnings) -> Path:
             continue
         outputs[p.name] = sha256_file(p)
     manifest = {"config": config_echo, "warnings": warnings, "outputs": outputs}
+    if fixed is not None:
+        manifest["fixed"] = fixed
     path = outdir / "manifest.json"
     write_json(path, manifest)
     return path

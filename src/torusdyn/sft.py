@@ -33,6 +33,7 @@ from .geometry import _cross, _monotone_chain
 from .maps import NumericalAbort
 
 DEFAULT_CYCLE_CAP = 10000
+DEFAULT_HORIZON = 10000  # steps over which an orbit's deviation is verified
 
 Vec = tuple  # (Fraction, Fraction)
 
@@ -330,7 +331,7 @@ def _first_combination(sft: WeightedSft, cycles: list, points: list, rho_s: tupl
 def bounded_deviation_orbit(
     sft: WeightedSft,
     rho,
-    horizon: int = 10000,
+    horizon: int = DEFAULT_HORIZON,
     cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> BoundedDeviationOrbit:
     """Periodic word with mean exactly rho and bounded partial-sum deviation.

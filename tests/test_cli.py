@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdyn import cli, manifolds, maps, periodic, rotation, sft
-from torusdyn.config import COMMANDS, MAP_KEYS, ConfigError, build_map, parse_config
-from torusdyn.report import sha256_file
+from torusdyn import cli, confinement, manifolds, maps, periodic, rotation, sft
+from torusdyn.config import CHOSEN, COMMANDS, MAP_KEYS, SCHEMA, ConfigError, build_map, parse_config
+from torusdyn.report import jsonable, sha256_file
 from torusdyn.svg import widen_range
 
 # dyadic translation and grid keep every Birkhoff mean exact in binary
@@ -250,12 +251,124 @@ def test_key_of_another_map_exits_2(tmp_path, capsys):
 def test_manifest_echoes_only_the_sections_read(tmp_path, monkeypatch, command):
     monkeypatch.setitem(cli.RUNNERS, command, lambda run, outdir: 0)
     map_block = "[map]\nmap = standard\n" if "map" in COMMANDS[command] else ""
-    code, out = _run(tmp_path, "%s[run]\ncommand = %s\n" % (map_block, command))
+    rho_block = "[sft]\nrho = 1/2,1/2\n" if command == "sft-orbit" else ""
+    code, out = _run(tmp_path, "%s[run]\ncommand = %s\n%s" % (map_block, command, rho_block))
     assert code == 0
-    echo = json.loads((out / "manifest.json").read_text())["config"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    echo = manifest["config"]
     assert set(echo) == {"run", *COMMANDS[command]}
     if map_block:
         assert echo["map"] == {"map": "standard", "k": 2.0, "epsilon": 0.0}
+    # check-all's budgets that no key sets are echoed beside its config
+    assert manifest.get("fixed") == (jsonable(cli.CHECK_FIXED) if command == "check-all" else None)
+
+
+class _LookedUp(dict):
+    """A parsed config section that records the keys a run looks up."""
+
+    def __init__(self, kv, keys):
+        super().__init__(kv)
+        self.keys_looked_up = keys
+
+    def __getitem__(self, key):
+        self.keys_looked_up.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):  # so that dict(section) copies through __getitem__
+        return super().__iter__()
+
+
+# a real run of each command at small budgets
+SMALL_RUNS = {
+    "rotset": "[map]\nmap = translation\n[rotset]\ngrid = 2\nn1 = 2\nn2 = 4\n",
+    "vrotset": "[map]\nmap = standard\n[vrotset]\ngrid = 2\nn1 = 2\nn2 = 4\n",
+    "find-periodic": "[map]\nmap = standard\n[periodic]\ngrid = 2\n",
+    "grow": "[map]\nmap = standard\n[grow]\nbudget = 2\n",
+    "scan-translates": "[map]\nmap = standard\n[grow]\nbudget = 2\n",
+    "confinement": "[map]\nmap = standard\n[confinement]\nmode = {mode}\nwindow = 1\nstep = 0.25\nhorizon = 5\n",
+    "omega-probe": "[map]\nmap = standard\n[confinement]\nmode = {mode}\nhorizon = 5\n[omega]\nextra = 5\n",
+    "disks": "[map]\nmap = standard\n[grow]\nbudget = 2\n[disks]\nregion = 1\nstep = 0.1\n",
+    "mixing": "[map]\nmap = standard\n[mixing]\nn_max = 5\n",
+    "sft-hull": "[sft]\ngraph = {graph}\n",
+    "sft-orbit": "[sft]\ngraph = {graph}\nrho = 1/2,1/2\n",
+    "check-all": "[map]\nmap = standard\n[periodic]\ngrid = 2\n[grow]\nbudget = 2\n[mixing]\nn_max = 5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, mode",
+    [(c, m) for c in COMMANDS for m in (confinement.MODES if "confinement" in COMMANDS[c] else (None,))],
+)
+def test_manifest_echoes_exactly_the_keys_the_run_reads(tmp_path, monkeypatch, command, mode):
+    looked_up = {}
+
+    def parse_recorded(text):
+        cfg = parse_config(text)
+        cfg.values = {sec: _LookedUp(kv, looked_up.setdefault(sec, set())) for sec, kv in cfg.values.items()}
+        return cfg
+
+    monkeypatch.setattr(cli, "parse_config", parse_recorded)
+    graph = tmp_path / "two_loop.txt"
+    graph.write_text("vertices 1\n0 0 1 0\n0 0 0 1\n")
+    body = SMALL_RUNS[command].format(mode=mode, graph=graph)
+    code, out = _run(tmp_path, "[run]\ncommand = %s\n%s" % (command, body))
+    assert code == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    # [run] is echoed whole: rng_seed stays settable because --seed is taken
+    # by every command, though only find-periodic and check-all draw from it
+    assert {sec: set(kv) for sec, kv in echo.items() if sec != "run"} == {
+        sec: keys for sec, keys in looked_up.items() if sec != "run"
+    }
+
+
+def test_every_schema_key_is_read_by_some_choice():
+    read = set()
+    for command, name, mode in itertools.product(COMMANDS, MAP_KEYS, confinement.MODES):
+        blocks = {"map": "map = " + name, "confinement": "mode = " + mode}
+        blocks["sft"] = "rho = 1/2,1/2" if command == "sft-orbit" else ""
+        text = "[run]\ncommand = %s\n" % command
+        text += "".join("[%s]\n%s\n" % (sec, blocks.get(sec, "")) for sec in COMMANDS[command])
+        read |= {(sec, key) for sec, kv in parse_config(text).values.items() for key in kv}
+    assert read == {(sec, key) for sec, keys in SCHEMA.items() for key in keys}
+    for sec, ((cs, ck), choices) in CHOSEN.items():
+        for value, keys in choices.items():
+            assert SCHEMA[cs][ck][0](value) == value
+            assert set(keys) <= set(SCHEMA[sec]) - {ck}
+
+
+@pytest.mark.parametrize("mode", ["south", "north"])
+def test_theta_outside_theta_mode_exits_2(tmp_path, capsys, mode):
+    text = "[map]\nmap = standard\n[run]\ncommand = confinement\n[confinement]\nmode = %s\ntheta = 1.0\n"
+    code, out = _run(tmp_path, text % mode)
+    assert code == 2
+    assert "line 7: key 'theta' in [confinement]: mode %s does not take it" % mode in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("rho", "5,5"), ("horizon", "3")])
+def test_sft_orbit_key_in_sft_hull_exits_2(tmp_path, capsys, key, value):
+    code, out = _run(tmp_path, "[run]\ncommand = sft-hull\n[sft]\n%s = %s\n" % (key, value))
+    assert code == 2
+    assert "line 4: key %r in [sft]: command sft-hull does not take it" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sft_orbit_without_rho_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, "[run]\ncommand = sft-orbit\n[sft]\nhorizon = 5\n")
+    assert code == 2
+    assert capsys.readouterr().err == "config error: missing required key 'rho' in [sft]\n"
+    assert not out.exists()
+
+
+def test_south_confinement_records_no_angle(tmp_path):
+    text = "[map]\nmap = standard\n[run]\ncommand = confinement\n[confinement]\nwindow = 1\nstep = 0.25\nhorizon = 5\n"
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    record = json.loads((out / "confinement.json").read_text())
+    assert record["mode"] == "south" and record["theta"] is None
 
 
 DISKS = "[map]\nmap = standard\n[run]\ncommand = disks\n[disks]\nregion = %s\nstep = 0.02\n"
