@@ -494,6 +494,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.seed is not None:
         cfg.values["run"]["rng_seed"] = args.seed
+    if args.out is not None:
+        cfg.values["run"]["out"] = None  # not read, so not echoed
     outdir = args.out or Path(cfg.out_dir or "out")
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -154,13 +154,14 @@ def compute_confinement(
     In theta mode the inequality is on the inner product of the iterate with
     the direction vector; in south/north mode it is on the sign of the
     vertical coordinate.  Nothing checks the homotopy class: any mode runs
-    on any map.  A horizon below 1, theta mode without an angle or an empty
-    grid raises ValueError, and a non-finite image NonFiniteImageError.
+    on any map.  A horizon below 1, theta mode without an angle, another
+    mode with one or an empty grid raises ValueError, and a non-finite image
+    NonFiniteImageError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if mode == "theta" and theta is None:
-        raise ValueError("theta mode needs an angle")
+    if (mode == "theta") == (theta is None):
+        raise ValueError("theta mode needs an angle, and only theta mode takes one")
     _, ok = _half_plane(mode, theta)
 
     (x0, x1), (y0, y1) = window

@@ -7,18 +7,21 @@ discretized rectangle test: a witness requires a strict side change across
 the local manifold piece and an exit through a rectangle side in both
 complementary components, so tangential touches never count.
 
-Crossing search is a broad phase followed by a narrow phase.  The broad
-phase pairs segments whose midpoints lie within half the sum of the two
-curves' longest segments, which every strictly crossing pair does.  It asks
-a `geometry.CellIndex` over the target's midpoints, built once per curve,
-for the pairs within that radius of `midpoints - v` for a translate v,
-which must be integer-valued.  The narrow phase tests strict crossings over
-all candidate pairs at once, reading only the target rows it needs, plus v.
-It then runs the rectangle walk on the true crossings as numpy arrays, in
-blocks taken in (piece segment, target segment) order: one block without a
-witness cap, else blocks of max_witnesses, 2*max_witnesses, ... hits until
-the cap is met.  Each hit reads its local piece and its two target walks
-through windows of polyline rows, clipped at the polyline ends.  A window
+Crossing search runs a broad and a narrow phase per chunk of consecutive
+piece segments: all of them without a witness cap, else PIECE_CHUNK and
+then twice as many each time until the cap is met.  The broad phase pairs
+segments whose midpoints lie within half the sum of the two curves' longest
+segments, which every strictly crossing pair does.  It asks a
+`geometry.CellIndex` over the target's midpoints, built once per curve, for
+the pairs within that radius of the chunk's `midpoints - v` for a translate
+v, which must be integer-valued.  The narrow phase tests strict crossings
+over the chunk's candidate pairs at once, reading only the target rows it
+needs, plus v.  It then runs the rectangle walk on the true crossings as
+numpy arrays, in blocks taken in (piece segment, target segment) order, as
+the chunks are: one block without a witness cap, else blocks of
+max_witnesses, 2*max_witnesses, ... hits until the cap is met.  Each hit
+reads its local piece and its two target walks through windows of polyline
+rows, clipped at the polyline ends.  A window
 that leaves its part undecided is read again twice as wide, up to the
 polyline's length, for the hits it failed alone: pieces first, then each
 walk against its hit's whole piece, in chunks of bounded size.
@@ -46,6 +49,7 @@ MIXING_SAMPLES_PER_RADIUS = 8
 # piece, and along a target walk; each doubles for a hit it leaves undecided
 PIECE_WINDOW = 16
 WALK_WINDOW = 4
+PIECE_CHUNK = 4096  # piece segments of the first capped broad-phase query; each next doubles
 SIDE_BATCH = 1 << 20  # (walk vertex, piece segment) pairs per side-offset chunk
 
 
@@ -296,12 +300,13 @@ class CrossingWitness:
     target_segment: int
 
 
-def _segment_pairs(piece: ManifoldCurve, target: ManifoldCurve, v: np.ndarray):
-    """Candidate (i, j) segment index pairs of piece and target + v whose
-    midpoints are within half the sum of the longest segments of each, as
-    int arrays in lexicographic order."""
+def _segment_pairs(piece: ManifoldCurve, target: ManifoldCurve, v: np.ndarray, lo: int = 0, hi: int | None = None):
+    """Candidate (i, j) segment index pairs, piece segments i in [lo, hi), of
+    piece and target + v whose midpoints are within half the sum of the
+    longest segments of each, as int arrays in lexicographic order."""
     own, index = piece.segment_index, target.segment_index
-    return index.cells.pairs(own.midpoints - v, 0.5 * (own.max_len + index.max_len) + 1e-12)
+    i, j = index.cells.pairs(own.midpoints[lo:hi] - v, 0.5 * (own.max_len + index.max_len) + 1e-12)
+    return i + lo, j
 
 
 def _cross(o, p, q):
@@ -471,10 +476,12 @@ def detect_crossings(
 
     The broad phase queries target's cached segment index (see
     `ManifoldCurve.segment_index`) at the piece's midpoints minus the
-    translate, so repeated calls on one target build it once.  The narrow
-    phase keeps the strictly crossing candidate pairs and validates them as
-    arrays, in blocks taken in lexicographic (piece segment, target segment)
-    order: all at once without max_witnesses, else a first block of
+    translate, so repeated calls on one target build it once: all piece
+    segments at once without max_witnesses, else chunks of PIECE_CHUNK,
+    2*PIECE_CHUNK, ... consecutive ones while fewer are found.  The narrow
+    phase keeps each chunk's strictly crossing candidate pairs and validates
+    them as arrays, in blocks taken in lexicographic (piece segment, target
+    segment) order: all at once without max_witnesses, else a first block of
     max_witnesses hits and each later one twice as large, stopping once
     max_witnesses are found.  Each hit's local piece and target walks are
     read through windows of piece and target rows, each grown by doubling
@@ -490,15 +497,18 @@ def detect_crossings(
     if len(P) < 2 or len(T) < 2:
         raise ValueError("both curves need at least two vertices")
     label = (int(v[0]), int(v[1]))
-    i_hit, j_hit, x_hit = _strict_crossings(P, T, v, *_segment_pairs(piece, target, v))
-    limit = len(i_hit) if max_witnesses is None else max_witnesses
+    limit = float("inf") if max_witnesses is None else max_witnesses
     witnesses = []
-    lo, size = 0, limit
-    while lo < len(i_hit) and len(witnesses) < limit:
-        k = slice(lo, lo + size)
-        witnesses += _witnesses(P, T, v, i_hit[k], j_hit[k], x_hit[k], piece.h_max, label)
-        lo, size = lo + size, 2 * size
-    return witnesses[:limit]
+    lo, rows = 0, len(P) - 1 if max_witnesses is None else PIECE_CHUNK
+    while lo < len(P) - 1 and len(witnesses) < limit:
+        i_hit, j_hit, x_hit = _strict_crossings(P, T, v, *_segment_pairs(piece, target, v, lo, lo + rows))
+        at, size = 0, max_witnesses or len(i_hit)
+        while at < len(i_hit) and len(witnesses) < limit:
+            k = slice(at, at + size)
+            witnesses += _witnesses(P, T, v, i_hit[k], j_hit[k], x_hit[k], piece.h_max, label)
+            at, size = at + size, 2 * size
+        lo, rows = lo + rows, 2 * rows
+    return witnesses[:max_witnesses]
 
 
 def translate_scan(
@@ -512,7 +522,8 @@ def translate_scan(
     Maps (a, b) to a witness list; an empty list means "not found at the
     current budget", which is distinct from absence.  One
     `detect_crossings` call per translate; all of them share the stable
-    curve's segment index, so the broad phase builds it once per scan.  A
+    curve's segment index, so the broad phase builds it once per scan, and
+    queries unstable segments only up to the max_witnesses-th witness.  A
     negative half_range raises ValueError rather than scan an empty box.
     """
     if half_range < 0:

@@ -692,6 +692,22 @@ def test_seed_override_recorded(tmp_path):
     assert manifest["config"]["run"]["rng_seed"] == 99
 
 
+def test_out_flag_drops_the_out_key_from_the_echo(tmp_path, monkeypatch):
+    # under --out, [run] out is not read: the manifest is that of the config
+    # without it, and its directory is not made
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL_ROTSET.replace("rng_seed = 7", "rng_seed = 7\nout = elsewhere")
+    code, out = _run(tmp_path, text, name="a.cfg")
+    assert code == 0 and not (tmp_path / "elsewhere").exists()
+    manifest = (out / "manifest.json").read_bytes()
+    assert "out" not in json.loads(manifest)["config"]["run"]
+    _, plain = _run(tmp_path, MINIMAL_ROTSET, name="b.cfg")
+    assert manifest == (plain / "manifest.json").read_bytes()
+    # without --out the key names the directory, and is echoed
+    assert cli.main(["run", str(tmp_path / "a.cfg")]) == 0
+    assert json.loads((tmp_path / "elsewhere" / "manifest.json").read_text())["config"]["run"]["out"] == "elsewhere"
+
+
 def test_repeat_run_byte_identical(tmp_path):
     _, out1 = _run(tmp_path, MINIMAL_ROTSET, name="a.cfg")
     _, out2 = _run(tmp_path, MINIMAL_ROTSET, name="b.cfg")

@@ -402,6 +402,9 @@ def test_confinement_input_validation():
         compute_confinement(m, "south", horizon=0, **SMALL)
     with pytest.raises(ValueError):
         compute_confinement(m, "theta", horizon=5, **SMALL)  # theta missing
+    for mode in ("south", "north"):
+        with pytest.raises(ValueError, match="only theta mode"):
+            compute_confinement(m, mode, horizon=5, theta=0.0, **SMALL)  # an angle that plays no part
     with pytest.raises(ValueError):
         compute_confinement(m, "west", horizon=5, **SMALL)
     with pytest.raises(ValueError):

@@ -540,8 +540,24 @@ def _touch_before_a_crossing():
     return piece, target, 1, 1
 
 
+def _touch_a_chunk_before_a_crossing():
+    # the touch of _touch_before_a_crossing on a piece of 13,999 segments: both
+    # its strict crossings lie in the first broad-phase chunk and fail, and
+    # the first witness lies in the second chunk
+    _, target, _, _ = _touch_before_a_crossing()
+    return _segment((-1, 0), (1, 0), n=14000), target, 1, 1
+
+
 @pytest.mark.parametrize(
-    "case", [_clipped_windows, _walks_off_the_end, _dense_windows, _wide_walks, _touch_before_a_crossing]
+    "case",
+    [
+        _clipped_windows,
+        _walks_off_the_end,
+        _dense_windows,
+        _wide_walks,
+        _touch_before_a_crossing,
+        _touch_a_chunk_before_a_crossing,
+    ],
 )
 def test_batch_edge_cases_match_reference(case):
     piece, target, max_witnesses, found = case()
@@ -577,6 +593,65 @@ def test_touch_before_a_crossing_is_skipped():
     assert j.tolist() == [0, 1, 4]  # two strict crossings of the touch come first
     (wit,) = td.detect_crossings(piece, target, max_witnesses=1)
     assert wit.target_segment == 4 and wit.location[0] == pytest.approx(0.5)
+
+
+def _recorded_queries(monkeypatch):
+    """The number of query rows of each `CellIndex.pairs` call from now on."""
+    rows = []
+    pairs = CellIndex.pairs
+
+    def recording_pairs(self, queries, r):
+        rows.append(len(queries))
+        return pairs(self, queries, r)
+
+    monkeypatch.setattr(CellIndex, "pairs", recording_pairs)
+    return rows
+
+
+def test_touch_in_one_chunk_and_witness_in_the_next(monkeypatch):
+    piece, target, _, _ = _touch_a_chunk_before_a_crossing()
+    chunk = manifolds.PIECE_CHUNK
+    i, j, _ = manifolds._strict_crossings(
+        piece.vertices, target.vertices, np.zeros(2), *manifolds._segment_pairs(piece, target, np.zeros(2))
+    )
+    assert j.tolist() == [0, 1, 4] and i[1] < chunk <= i[2] < 3 * chunk
+    rows = _recorded_queries(monkeypatch)
+    (wit,) = td.detect_crossings(piece, target, max_witnesses=1)
+    assert (wit.piece_segment, wit.target_segment) == (i[2], 4)
+    assert rows == [chunk, 2 * chunk]  # the first two chunks, and no more
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_chunked_broad_phase_matches_reference(monkeypatch, k2_pair, swap):
+    # chunks of 1, 2, 4, ..., 2, 4, 8, ... and 3, 6, 12, ... piece rows keep
+    # the witnesses of the unchunked reference, with either curve as the
+    # piece; the reference's first m witnesses are its answer to m
+    piece, target = k2_pair[::-1] if swap else k2_pair
+    translates = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    want = {v: _ref_detect_crossings(piece, target, v) for v in translates}
+    assert any(want.values())
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(manifolds, "PIECE_CHUNK", chunk)
+        for max_witnesses in (1, 2, 3, None):
+            table = td.translate_scan(piece, target, 1, max_witnesses)
+            for v in translates:
+                _assert_same_witnesses(table[v], want[v][:max_witnesses])
+                _assert_same_witnesses(td.detect_crossings(piece, target, v, max_witnesses), want[v][:max_witnesses])
+
+
+def test_scan_queries_only_the_rows_it_needs(monkeypatch, k2_pair):
+    wu, ws = k2_pair
+    n = len(wu.vertices) - 1
+    rows = _recorded_queries(monkeypatch)
+    (wit,) = td.detect_crossings(wu, ws, (1, 0), max_witnesses=1)
+    assert wit.piece_segment < manifolds.PIECE_CHUNK < n
+    assert rows == [manifolds.PIECE_CHUNK]
+    rows.clear()
+    td.translate_scan(wu, ws, 1, max_witnesses=1)
+    assert len(rows) >= 9 and sum(rows) < 9 * n
+    rows.clear()
+    td.detect_crossings(wu, ws, (1, 0))
+    assert rows == [n]  # without max_witnesses: every row in one query
 
 
 def test_detect_crossings_rejects_a_fractional_translate():
