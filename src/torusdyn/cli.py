@@ -36,6 +36,7 @@ from . import confinement as conf
 from . import manifolds as mfd
 from . import maps, periodic, rotation, sft
 from .config import COMMANDS, ConfigError, RunConfig, _nonnegative_int, build_map, parse_config
+from .geometry import column_bounds
 from .report import child_rng, write_csv, write_json, write_manifest
 from .svg import SvgCanvas, widen_range
 
@@ -128,8 +129,7 @@ class Run:
 
 
 def _hull_svg(path, means, hull):
-    lo = means.min(axis=0)
-    hi = means.max(axis=0)
+    lo, hi = column_bounds(means)
     pad = 0.1 * max(float(np.max(hi - lo)), 1e-6)
     c = SvgCanvas((lo[0] - pad, hi[0] + pad), (lo[1] - pad, hi[1] + pad))
     c.frame()
@@ -213,8 +213,7 @@ def run_find_periodic(run: Run, outdir: Path) -> int:
 
 
 def _tangle_svg(path, wu, ws, witnesses=()):
-    allv = np.vstack([wu.vertices, ws.vertices])
-    lo, hi = allv.min(axis=0), allv.max(axis=0)
+    lo, hi = column_bounds(wu.vertices, ws.vertices)
     pad = 0.05 * float(np.max(hi - lo))
     c = SvgCanvas((lo[0] - pad, hi[0] + pad), (lo[1] - pad, hi[1] + pad))
     c.frame()
@@ -378,7 +377,9 @@ def _lift_check(m, cfg):
     pts = child_rng(cfg.rng_seed, "check-lift").uniform(0, 1, size=(1000, 2))
     deck = max(maps.deck_residual(m, pts, v) for v in itertools.product((-1, 0, 1), repeat=2))
     area = maps.area_residual(m, pts)
-    return "pass" if deck < 1e-12 and area < 1e-12 else "fail", "deck %.2e area %.2e" % (deck, area)
+    inverse = maps.inverse_residual(m, pts)
+    status = "pass" if all(r < 1e-12 for r in (deck, area, inverse)) else "fail"
+    return status, "deck %.2e area %.2e inverse %.2e" % (deck, area, inverse)
 
 
 def _rotation_check(m):

@@ -2,10 +2,14 @@
 
 Unstable/stable branches of a hyperbolic periodic point are grown as
 polylines by iterating a short seed segment along the eigendirection with
-adaptive preimage refinement.  Crossings between curves are validated by a
-discretized rectangle test: a witness requires a strict side change across
-the local manifold piece and an exit through a rectangle side in both
-complementary components, so tangential touches never count.
+adaptive preimage refinement.  Growth keeps its points as split x and y
+arrays, advances them in place with the map's `step` (unstable) or
+`unstep` (stable), inserts refinement points into the 1-D arrays, and
+stacks the (n, 2) vertices once at the end.  Crossings between curves are
+validated by a discretized rectangle test: a witness requires a strict
+side change across the local manifold piece and an exit through a
+rectangle side in both complementary components, so tangential touches
+never count.
 
 Crossing search runs a broad and a narrow phase per chunk of consecutive
 piece segments: all of them without a witness cap, else PIECE_CHUNK and
@@ -81,12 +85,12 @@ class ManifoldCurve:
         return _SegmentIndex(self.vertices)
 
 
-def _segment_lengths(pts: np.ndarray) -> np.ndarray:
-    """Segment lengths of a polyline, sqrt(dx*dx + dy*dy) on the split
-    coordinate differences: the bits of `np.linalg.norm` over the rows, at a
-    quarter of its cost."""
-    dx = np.diff(pts[:, 0])
-    dy = np.diff(pts[:, 1])
+def _segment_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Segment lengths of a polyline with vertex coordinates x and y,
+    sqrt(dx*dx + dy*dy) on the coordinate differences: the bits of
+    `np.linalg.norm` over the rows, at a quarter of its cost."""
+    dx = np.diff(x)
+    dy = np.diff(y)
     return np.sqrt(dx * dx + dy * dy)
 
 
@@ -96,7 +100,7 @@ class _SegmentIndex:
 
     def __init__(self, vertices: np.ndarray):
         self.midpoints = 0.5 * (vertices[:-1] + vertices[1:])
-        self.max_len = float(np.max(_segment_lengths(vertices)))
+        self.max_len = float(np.max(_segment_lengths(vertices[:, 0], vertices[:, 1])))
 
     @cached_property
     def cells(self) -> CellIndex:
@@ -106,7 +110,7 @@ class _SegmentIndex:
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:
     """Wrap a raw polyline as a curve (for tests and synthetic scans)."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    arclength = float(np.sum(_segment_lengths(vertices)))
+    arclength = float(np.sum(_segment_lengths(vertices[:, 0], vertices[:, 1])))
     owner = PeriodicPoint(
         point=vertices[0],
         period=1,
@@ -153,26 +157,6 @@ def eigen_frame(pp: PeriodicPoint):
     return orient(V[:, iu]), orient(V[:, is_]), (float(ev[iu]), float(ev[is_]))
 
 
-def _growth_maps(m: LiftedTorusMap, pp: PeriodicPoint):
-    """g(z) = f^q(z) - (p, r) and its inverse."""
-    q = pp.period
-    pr = np.asarray(pp.translation, dtype=float)
-
-    def g(z):
-        z = np.asarray(z, dtype=float)
-        for _ in range(q):
-            z = m.forward(z)
-        return z - pr
-
-    def g_inv(w):
-        w = np.asarray(w, dtype=float) + pr
-        for _ in range(q):
-            w = m.inverse(w)
-        return w
-
-    return g, g_inv
-
-
 def grow_manifold(
     m: LiftedTorusMap,
     pp: PeriodicPoint,
@@ -185,9 +169,11 @@ def grow_manifold(
 ) -> ManifoldCurve:
     """Grow one manifold branch to a target arclength.
 
-    A seed segment [z0, g(z0)] along the eigendirection is iterated; every
-    vertex is the exact image g^m of a seed-segment point, and midpoint
-    preimages are inserted until adjacent image spacing is at most h_max.
+    A seed segment [z0, g(z0)] along the eigendirection is iterated, where
+    g(z) = f^q(z) - (p, r) for the unstable branch and g^-1(w) = f^-q(w +
+    (p, r)) for the stable one; every vertex is the exact image g^m of a
+    seed-segment point, and midpoint preimages are inserted until adjacent
+    image spacing is at most h_max.
 
     A level whose coarse (unrefined) cumulative length reaches the budget is
     the last one: it is truncated after the first coarse vertex whose
@@ -200,6 +186,10 @@ def grow_manifold(
     last level, and `vertex_cap` bounds the vertices kept from earlier
     levels plus that refined prefix; exceeding it raises `GrowthError`,
     never a partial curve.
+
+    The points are held as split x and y arrays and advanced in place by
+    the map's `step` (then minus (p, r)) or, after adding (p, r), its
+    `unstep`; the (n, 2) vertices are stacked once at the end.
     """
     if kind not in ("unstable", "stable"):
         raise ValueError("kind must be 'unstable' or 'stable'")
@@ -208,44 +198,53 @@ def grow_manifold(
     if min(arclength_budget, h_max, delta_seed) <= 0:
         raise ValueError("budget, h_max and delta_seed must be positive")
     u_dir, s_dir, (lam_u, lam_s) = eigen_frame(pp)
-    g, g_inv = _growth_maps(m, pp)
-    step = g if kind == "unstable" else g_inv
     direction = u_dir if kind == "unstable" else s_dir
     if branch == "-":
         direction = -direction
+    q = pp.period
+    p, r = (float(c) for c in pp.translation)
 
-    Q = pp.point
-    z0 = Q + delta_seed * direction
-    z1 = step(z0)
-    if arclength_budget < np.linalg.norm(z1 - z0):
+    def advance(x, y, times):
+        """Overwrite x and y with their image under g^times."""
+        for _ in range(times):
+            if kind == "unstable":
+                for _ in range(q):
+                    m.step(x, y)
+                x -= p
+                y -= r
+            else:
+                x += p
+                y += r
+                for _ in range(q):
+                    m.unstep(x, y)
+
+    z0 = pp.point + delta_seed * direction
+    x, y = np.array(z0[0]), np.array(z0[1])
+    advance(x, y, 1)
+    dz = np.array([x, y]) - z0
+    if arclength_budget < np.linalg.norm(dz):
         raise GrowthError("budget exhausted before the first fundamental-domain pass")
 
     def seed_point(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return z0[None, :] + t[:, None] * (z1 - z0)[None, :]
+        return z0[0] + t * dz[0], z0[1] + t * dz[1]
 
-    def advance(P, times):
-        for _ in range(times):
-            P = step(P)
-        return P
-
-    # each level's new vertices as one 2-D chunk, joined once at the end
-    chunks = [z0[None, :]]
+    # each level's new vertices as one chunk per coordinate, stacked once at the end
+    xs, ys = [z0[:1]], [z0[1:]]
     n_vertices = 1
     arclength = 0.0
     insertions = 0
     level = 0
     # level m spans g^m([z0, z1]); ends match up exactly between levels
     t = np.array([0.0, 1.0])
-    pts = seed_point(t)
+    x, y = seed_point(t)
     while True:
-        gaps = _segment_lengths(pts)
+        gaps = _segment_lengths(x, y)
         cum = arclength + np.cumsum(gaps)
         last = cum[-1] >= arclength_budget
         if last:
             # the last level: refine only up to the first coarse vertex past the budget
             keep = int(np.searchsorted(cum, arclength_budget)) + 2
-            t, pts, gaps = t[:keep], pts[:keep], gaps[: keep - 1]
+            t, x, y, gaps = t[:keep], x[:keep], y[:keep], gaps[: keep - 1]
         # refine until image spacing <= h_max
         while True:
             bad = np.nonzero(gaps > h_max)[0]
@@ -256,32 +255,38 @@ def grow_manifold(
             t_new = t_new[resolvable]
             if len(t_new) == 0:
                 break
-            p_new = advance(seed_point(t_new), level)
+            x_new, y_new = seed_point(t_new)
+            advance(x_new, y_new, level)
             insertions += len(t_new)
             # each t_new lies strictly between its neighbours, so inserting
             # by position keeps t sorted
             at = bad[resolvable] + 1
             t = np.insert(t, at, t_new)
-            pts = np.insert(pts, at, p_new, axis=0)
+            x = np.insert(x, at, x_new)
+            y = np.insert(y, at, y_new)
             if n_vertices + len(t) > vertex_cap:
                 raise GrowthError("refinement exceeded the vertex cap")
-            gaps = _segment_lengths(pts)
+            gaps = _segment_lengths(x, y)
         cum = arclength + np.cumsum(gaps)
         if last or cum[-1] >= arclength_budget:
             cut = min(int(np.searchsorted(cum, arclength_budget)), len(cum) - 1)
-            chunks.append(pts[1 : cut + 2])
+            xs.append(x[1 : cut + 2])
+            ys.append(y[1 : cut + 2])
             arclength = float(cum[cut])
             break
-        chunks.append(pts[1:])
-        n_vertices += len(pts) - 1
+        # the chunks keep this level's points; the next level advances copies
+        xs.append(x[1:])
+        ys.append(y[1:])
+        n_vertices += len(x) - 1
         arclength = float(cum[-1])
         level += 1
-        pts = advance(pts, 1)
+        x, y = x.copy(), y.copy()
+        advance(x, y, 1)
     return ManifoldCurve(
         owner=pp,
         kind=kind,
         branch=branch,
-        vertices=np.concatenate(chunks),
+        vertices=np.stack([np.concatenate(xs), np.concatenate(ys)], axis=1),
         arclength=arclength,
         growth_log=(level, insertions),
         h_max=h_max,

@@ -8,12 +8,13 @@ forward and inverse rules (x, y) -> (X, Y) and the Jacobian entries
 rest: float coercion, the (..., 2) stacking and the (..., 2, 2) layout
 [[a, b], [c, d]].  A new map is one factory and one ``BUILTIN_MAPS`` entry.
 
-Orbit loops advance their points with the map's in-place rule
-``step(x, y)``: x and y are float64 arrays of one shape, owned by the loop,
-and after the call they hold the image under ``forward``, bit for bit.  The
-standard map supplies a fused step, and its ``forward`` is that step on a
-copy; any other map gets a step that stacks (x, y), calls ``forward`` and
-writes the image back.
+Orbit loops and manifold growth advance their points with the map's
+in-place rules ``step(x, y)`` and ``unstep(x, y)``: x and y are float64
+arrays of one shape, owned by the caller, and after the call they hold the
+image under ``forward`` (resp. ``inverse``), bit for bit.  The standard map
+supplies both fused, and its ``forward`` and ``inverse`` are those rules on
+a copy; any other map gets rules that stack (x, y), call ``forward`` or
+``inverse`` and write the image back.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class LiftedTorusMap:
 
     ``forward``, ``inverse`` map arrays of shape (..., 2) to the same shape;
     ``jacobian`` maps them to shape (..., 2, 2); the factories build all
-    three from split-coordinate formulas.  ``step(x, y)`` overwrites split
-    x and y arrays with their ``forward`` image; left out, it is derived
-    from ``forward`` (``dataclasses.replace`` keeps the step it was given).
+    three from split-coordinate formulas.  ``step(x, y)`` and
+    ``unstep(x, y)`` overwrite split x and y arrays with their ``forward``
+    and ``inverse`` images; left out, each is derived from its rule
+    (``dataclasses.replace`` keeps the ones it was given).
     ``is_lift`` is False for test maps (e.g. the linear saddle) that do not
     satisfy the deck equivariance contract; such maps are excluded from
     lift validation.
@@ -89,26 +91,40 @@ class LiftedTorusMap:
     jacobian: Callable[[np.ndarray], np.ndarray] = None
     is_lift: bool = True
     step: Callable[[np.ndarray, np.ndarray], None] = None
+    unstep: Callable[[np.ndarray, np.ndarray], None] = None
 
     def __post_init__(self):
         object.__setattr__(self, "homotopy", validate_homotopy(self.homotopy))
         if self.step is None:
-            object.__setattr__(self, "step", _step_from_forward(self.forward))
+            object.__setattr__(self, "step", _in_place(self.forward))
+        if self.unstep is None:
+            object.__setattr__(self, "unstep", _in_place(self.inverse))
 
     @property
     def homotopy_class(self) -> str:
         return homotopy_class(self.homotopy)
 
 
-def _step_from_forward(forward):
-    """In-place step(x, y) that writes back forward's image of (x, y)."""
+def _in_place(rule):
+    """In-place (x, y) -> None that writes back rule's image of (x, y)."""
 
-    def step(x, y):
-        w = forward(np.stack([x, y], axis=-1))
+    def apply(x, y):
+        w = rule(np.stack([x, y], axis=-1))
         x[...] = w[..., 0]
         y[...] = w[..., 1]
 
-    return step
+    return apply
+
+
+def _on_copies(rule):
+    """The formula (x, y) -> (X, Y) of an in-place rule, run on copies."""
+
+    def apply(x, y):
+        x, y = x.copy(), y.copy()
+        rule(x, y)
+        return x, y
+
+    return apply
 
 
 def _split_rule(rule):
@@ -155,14 +171,17 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
         y += s
         y += epsilon
 
-    def fwd(x, y):
-        x, y = x.copy(), y.copy()
-        step(x, y)
-        return x, y
-
-    def inv(X, Y):
-        x = X - Y + epsilon
-        return x, Y - k * np.sin(TWO_PI * x) - epsilon
+    def unstep(x, y):
+        # rounds as the closed form: x = (X - Y) + epsilon, s = k sin(2 pi x),
+        # then (Y - s) - epsilon
+        x -= y
+        x += epsilon
+        s = np.empty_like(x)
+        np.multiply(TWO_PI, x, out=s)
+        np.sin(s, out=s)
+        s *= k
+        y -= s
+        y -= epsilon
 
     def jac(x, y):
         c = TWO_PI * k * np.cos(TWO_PI * x)
@@ -172,10 +191,11 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
         name="standard",
         params={"k": k, "epsilon": epsilon},
         homotopy=np.array([[1, 1], [0, 1]]),
-        forward=_split_rule(fwd),
-        inverse=_split_rule(inv),
+        forward=_split_rule(_on_copies(step)),
+        inverse=_split_rule(_on_copies(unstep)),
         jacobian=_split_jacobian(jac),
         step=step,
+        unstep=unstep,
     )
 
 
@@ -255,6 +275,12 @@ def deck_residual(m: LiftedTorusMap, z, v) -> float:
     v = np.asarray(v, dtype=float)
     r = m.forward(z + v) - m.forward(z) - m.homotopy @ v
     return float(np.max(np.linalg.norm(r, axis=-1)))
+
+
+def inverse_residual(m: LiftedTorusMap, z) -> float:
+    """|| f^-1(f(z)) - z ||, pointwise or max over a batch of points."""
+    z = np.asarray(z, dtype=float)
+    return float(np.max(np.linalg.norm(m.inverse(m.forward(z)) - z, axis=-1)))
 
 
 def area_residual(m: LiftedTorusMap, z) -> float:

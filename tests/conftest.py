@@ -1,5 +1,7 @@
 """Shared fixtures, and helpers the library itself has no use for: the
-inverse of a map as a map, and the pullback-rate fit of a grown curve."""
+inverse of a map as a map, the growth map of a periodic point and its
+inverse on stacked (..., 2) points, and the pullback-rate fit of a grown
+curve."""
 
 import numpy as np
 import pytest
@@ -41,6 +43,28 @@ def inverted(m):
     )
 
 
+def growth_maps(m, pp):
+    """g(z) = f^q(z) - (p, r) and its inverse, on (..., 2) points through the
+    map's forward and inverse rules: the reference for `grow_manifold`'s
+    in-place step and unstep loops."""
+    q = pp.period
+    pr = np.asarray(pp.translation, dtype=float)
+
+    def g(z):
+        z = np.asarray(z, dtype=float)
+        for _ in range(q):
+            z = m.forward(z)
+        return z - pr
+
+    def g_inv(w):
+        w = np.asarray(w, dtype=float) + pr
+        for _ in range(q):
+            w = m.inverse(w)
+        return w
+
+    return g, g_inv
+
+
 def pullback_rate_fit(m, curve, max_steps: int = 400):
     """Fit the geometric convergence rate of curve vertices pulled back to Q.
 
@@ -48,7 +72,7 @@ def pullback_rate_fit(m, curve, max_steps: int = 400):
     the fit uses log distance per backward (resp. forward, for stable
     curves) iteration inside a clean linear window.
     """
-    g, g_inv = manifolds._growth_maps(m, curve.owner)
+    g, g_inv = growth_maps(m, curve.owner)
     back = g_inv if curve.kind == "unstable" else g
     u_dir, s_dir, (lam_u, lam_s) = manifolds.eigen_frame(curve.owner)
     lam = lam_u if curve.kind == "unstable" else 1.0 / lam_s

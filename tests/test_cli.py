@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -856,7 +857,7 @@ def test_check_all_drift_shear_rows(tmp_path):
     code, out = _run(tmp_path, "[map]\nmap = drift_shear\n[run]\ncommand = check-all\n")
     assert code == 0
     lines = (out / "check_all.txt").read_text().splitlines()
-    assert re.fullmatch(r"deck-equivariance-and-area +pass +deck \S+ area \S+", lines[0])
+    assert re.fullmatch(r"deck-equivariance-and-area +pass +deck \S+ area \S+ inverse \S+", lines[0])
     skipped = "skipped       hypothesis not met, skipped"
     assert lines[1:] == [
         "rotation-set-hull                pass          "
@@ -867,6 +868,22 @@ def test_check_all_drift_shear_rows(tmp_path):
         "mixing-probe                     " + skipped,
         "sft-two-loop                     pass          hull True",
     ]
+
+
+def test_check_all_lift_row_fails_on_a_planted_inverse(tmp_path, monkeypatch):
+    # an inverse whose d is off by 1e-6 (relative) leaves forward and Df as
+    # they are, so only the inverse residual can turn the row to fail
+    def planted(d):
+        return replace(maps.make_drift_shear(d), inverse=maps.make_drift_shear(d * (1 + 1e-6)).inverse)
+
+    monkeypatch.setitem(maps.BUILTIN_MAPS, "drift_shear", planted)
+    code, out = _run(tmp_path, "[map]\nmap = drift_shear\n[run]\ncommand = check-all\n")
+    assert code == 1
+    row = json.loads((out / "check_all.json").read_text())["rows"][0]
+    assert row["check"] == "deck-equivariance-and-area" and row["status"] == "fail"
+    residuals = re.fullmatch(r"deck (\S+) area (\S+) inverse (\S+)", row["detail"]).groups()
+    deck, area, inverse = (float(v) for v in residuals)
+    assert deck < 1e-12 and area < 1e-12 and 1e-8 < inverse < 1e-6
 
 
 def _square_around_zero(m, seeds, horizons):

@@ -14,7 +14,7 @@ from torusdyn.manifolds import CrossingWitness, GrowthError, NonHyperbolicError
 from torusdyn.maps import make_linear_saddle
 from torusdyn.periodic import PeriodicPoint
 
-from conftest import inverted, pullback_rate_fit
+from conftest import growth_maps, inverted, pullback_rate_fit
 
 
 def _saddle_fixed_point():
@@ -117,7 +117,7 @@ def _grow_full_levels(m, pp, kind, branch, budget, h_max=manifolds.DEFAULT_H_MAX
     the last one at the budget.  Returns (vertices, arclength, level,
     insertions)."""
     u_dir, s_dir, _ = manifolds.eigen_frame(pp)
-    g, g_inv = manifolds._growth_maps(m, pp)
+    g, g_inv = growth_maps(m, pp)
     step = g if kind == "unstable" else g_inv
     direction = u_dir if kind == "unstable" else s_dir
     if branch == "-":
@@ -164,6 +164,16 @@ def _grow_full_levels(m, pp, kind, branch, budget, h_max=manifolds.DEFAULT_H_MAX
         pts = advance(pts, 1)
 
 
+def _assert_matches_full_levels(m, pp, budget):
+    for kind in ("unstable", "stable"):
+        for branch in ("+", "-"):
+            got = td.grow_manifold(m, pp, kind, branch, arclength_budget=budget)
+            vertices, arclength, level, insertions = _grow_full_levels(m, pp, kind, branch, budget)
+            assert got.vertices.tobytes() == vertices.tobytes()
+            assert got.arclength == arclength and got.growth_log[0] == level
+            assert got.growth_log[1] < insertions
+
+
 @pytest.mark.parametrize(
     "saddle, budget",
     [
@@ -176,12 +186,20 @@ def _grow_full_levels(m, pp, kind, branch, budget, h_max=manifolds.DEFAULT_H_MAX
 )
 def test_grow_matches_full_level_reference(std_k2, fp_origin, saddle, budget):
     m, pp = _saddle_fixed_point() if saddle else (std_k2, fp_origin)
-    for kind in ("unstable", "stable"):
-        got = td.grow_manifold(m, pp, kind, "+", arclength_budget=budget)
-        vertices, arclength, level, insertions = _grow_full_levels(m, pp, kind, "+", budget)
-        assert got.vertices.tobytes() == vertices.tobytes()
-        assert got.arclength == arclength and got.growth_log[0] == level
-        assert got.growth_log[1] < insertions
+    _assert_matches_full_levels(m, pp, budget)
+
+
+@pytest.mark.parametrize("seed", ["translated", "doubled"])
+def test_grow_matches_full_level_reference_with_translation_and_period(std_k2, seed):
+    # the (p, r) = (1, 0) fixed point at (0, 1) pins where (p, r) enters each
+    # step; the q = 2 point doubled from (1/2, 0) pins the q loop
+    if seed == "translated":
+        pp = td.newton_periodic(std_k2, 1, (1, 0), (0.0, 1.0))
+        assert pp.translation == (1, 0) and pp.classification == "hyperbolic_positive"
+    else:
+        pp = td.newton_periodic(std_k2, 1, (0, 0), (0.5, 0.0)).doubled(std_k2)
+        assert pp.period == 2 and pp.classification == "hyperbolic_positive"
+    _assert_matches_full_levels(std_k2, pp, 20.0)
 
 
 def test_vertex_cap_counts_only_the_kept_prefix(std_k2, fp_origin):

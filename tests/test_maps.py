@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,28 @@ def test_standard_step_matches_forward_bit_for_bit(xy, k, eps):
 
 
 @given(xy=_BATCHES, k=st.floats(-3.0, 3.0), eps=_NONZERO)
+@settings(max_examples=60, deadline=None)
+def test_standard_unstep_matches_inverse_bit_for_bit(xy, k, eps):
+    X, Y = xy
+    m = td.make_standard_map(k, eps)
+    want = m.inverse(np.stack([X, Y], axis=-1))
+    # the closed form, written out once more
+    x = X - Y + eps
+    formula = np.stack([x, Y - k * np.sin(TWO_PI * x) - eps], axis=-1)
+    assert want.tobytes() == formula.tobytes()
+    sx, sy = X.copy(), Y.copy()
+    m.unstep(sx, sy)
+    assert sx.tobytes() == want[..., 0].tobytes()
+    assert sy.tobytes() == want[..., 1].tobytes()
+
+
+def test_replace_keeps_the_given_step_and_unstep(std_k2):
+    # a map whose rules are wrapped (as a tracer does) keeps the fused kernels
+    traced = replace(std_k2, forward=lambda z: std_k2.forward(z), inverse=lambda w: std_k2.inverse(w))
+    assert traced.step is std_k2.step and traced.unstep is std_k2.unstep
+
+
+@given(xy=_BATCHES, k=st.floats(-3.0, 3.0), eps=_NONZERO)
 @settings(max_examples=30, deadline=None)
 def test_inverted_step_matches_inverse(xy, k, eps):
     x, y = xy
@@ -173,16 +197,27 @@ def test_inverted_step_matches_inverse(xy, k, eps):
     assert y.tobytes() == want[..., 1].tobytes()
 
 
-@pytest.mark.parametrize(
+_DERIVED = pytest.mark.parametrize(
     "m",
     [td.make_translation_map(0.3, -0.1), td.make_drift_shear(0.4), make_linear_saddle(2.0)],
     ids=lambda m: m.name,
 )
+
+
+@_DERIVED
 def test_derived_step_writes_forward_image(m):
     z = np.random.default_rng(3).uniform(-5, 5, size=(64, 2))
     x, y = z[:, 0].copy(), z[:, 1].copy()
     m.step(x, y)
     np.testing.assert_array_equal(np.stack([x, y], axis=-1), m.forward(z))
+
+
+@_DERIVED
+def test_derived_unstep_writes_inverse_image(m):
+    z = np.random.default_rng(4).uniform(-5, 5, size=(64, 2))
+    x, y = z[:, 0].copy(), z[:, 1].copy()
+    m.unstep(x, y)
+    np.testing.assert_array_equal(np.stack([x, y], axis=-1), m.inverse(z))
 
 
 # Every builtin map's rules, written out once more as numpy closed forms.
@@ -276,7 +311,8 @@ def test_builtin_map_rules_match_closed_forms_bit_for_bit(name, z, p, q):
     want = _stacked(x, fwd(x, y))
     got = m.forward(z)
     assert got.shape == z.shape and got.tobytes() == want.tobytes()
-    assert m.inverse(z).tobytes() == _stacked(x, inv(x, y)).tobytes()
+    want_inv = _stacked(x, inv(x, y))
+    assert m.inverse(z).tobytes() == want_inv.tobytes()
     a, b, c, d = jac(x, y)
     J = np.stack([_stacked(x, (a, b)), _stacked(x, (c, d))], axis=-2)
     got_J = m.jacobian(z)
@@ -285,3 +321,7 @@ def test_builtin_map_rules_match_closed_forms_bit_for_bit(name, z, p, q):
     m.step(sx, sy)
     assert sx.tobytes() == want[..., 0].tobytes()
     assert sy.tobytes() == want[..., 1].tobytes()
+    sx, sy = x.copy(), y.copy()
+    m.unstep(sx, sy)
+    assert sx.tobytes() == want_inv[..., 0].tobytes()
+    assert sy.tobytes() == want_inv[..., 1].tobytes()
