@@ -7,7 +7,6 @@ from .maps import (
     deck_residual,
     make_drift_shear,
     make_identity_map,
-    make_linear_saddle,
     make_standard_map,
     make_translation_map,
 )

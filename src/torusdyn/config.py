@@ -4,10 +4,10 @@ A config sets [run], the sections `COMMANDS[command]` and, in a `CHOSEN`
 section, the keys its chooser picks (`[map] map`, `[confinement] mode`,
 `[run] command`); the parsed values hold only these, each REQUIRED one
 set.  Other keys and bad values (a size, count or tolerance that is not
-positive, a non-finite map parameter, seed point, angle or ball centre, a
-linear-saddle `lam` without a finite reciprocal, rotation horizons with
-n1 >= n2, a [disks] region too small to hold a cell) fail with their line
-number; duplicate keys are last-wins, with a warning for the run manifest.
+positive, a non-finite map parameter, seed point, angle or ball centre,
+rotation horizons with n1 >= n2, a [disks] region too small to hold a
+cell) fail with their line number; duplicate keys are last-wins, with a
+warning for the run manifest.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ def _finite_float(s: str) -> float:
     return value
 
 
-def _invertible_float(s: str) -> float:
-    value = _finite_float(s)
-    if value == 0.0 or not math.isfinite(1.0 / value):
-        raise ValueError("must have a finite reciprocal, got %r" % value)
-    return value
-
-
 def _parse_rho(s: str):
     parts = s.split(",")
     if len(parts) != 2:
@@ -121,7 +114,6 @@ SCHEMA = {
         "a": (_finite_float, 0.0),
         "b": (_finite_float, 0.0),
         "d": (_finite_float, 0.5),
-        "lam": (_invertible_float, 2.0),
     },
     "run": {
         "command": (_choice(COMMANDS), REQUIRED),

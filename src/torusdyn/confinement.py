@@ -6,9 +6,9 @@ mode <f^n(z), (cos t, sin t)> >= 0, in south (north) mode the vertical
 coordinate of f^n(z) stays <= 0 (>= 0).  Components touching the window
 boundary are the finite proxy for unbounded components.
 
-South and north clouds of a lift are computed on one grid column per class
-of x mod 1 and copied to the other columns of the class, so they are
-exactly 1-periodic in x.  Theta mode and non-lift maps iterate every column.
+South and north clouds are computed on one grid column per class of x mod 1
+and copied to the other columns of the class, so they are exactly
+1-periodic in x.  Theta mode iterates every column.
 
 Components are 4-connected and numbered from 1 in raster order of their
 first cell, by a numpy-only run-length labelling (`_label`).
@@ -173,7 +173,7 @@ def compute_confinement(
     # a lift moves z + (1, 0) to f(z) + (1, 0), so south/north survival
     # depends on x only through x mod 1, which floating point gets exactly;
     # iterate one column per class
-    key = xs - np.floor(xs) if mode != "theta" and m.is_lift else xs
+    key = xs - np.floor(xs) if mode != "theta" else xs
     reps, col = np.unique(key, return_inverse=True)
     X, Y = np.meshgrid(reps, ys, indexing="ij")
 

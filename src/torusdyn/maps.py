@@ -1,8 +1,12 @@
 """Lifted torus maps as explicit plane maps with homotopy data.
 
 A lift satisfies f(z + v) = f(z) + A @ v for every integer vector v, where A
-is either the identity or a Dehn-twist matrix [[1, k], [0, 1]].  Each
-factory states only its closed-form formulas on split coordinates: the
+is either the identity or a Dehn-twist matrix [[1, k], [0, 1]].  Every map
+is such a lift: rotation, confinement and the periodic sweep shift points
+by lattice vectors and rely on that identity, which a test checks for every
+``BUILTIN_MAPS`` entry.
+
+Each factory states only its closed-form formulas on split coordinates: the
 forward and inverse rules (x, y) -> (X, Y) and the Jacobian entries
 (x, y) -> (a, b, c, d).  ``_split_rule`` and ``_split_jacobian`` own the
 rest: float coercion, the (..., 2) stacking and the (..., 2, 2) layout
@@ -78,9 +82,6 @@ class LiftedTorusMap:
     ``unstep(x, y)`` overwrite split x and y arrays with their ``forward``
     and ``inverse`` images; left out, each is derived from its rule
     (``dataclasses.replace`` keeps the ones it was given).
-    ``is_lift`` is False for test maps (e.g. the linear saddle) that do not
-    satisfy the deck equivariance contract; such maps are excluded from
-    lift validation.
     """
 
     name: str
@@ -89,7 +90,6 @@ class LiftedTorusMap:
     forward: Callable[[np.ndarray], np.ndarray] = None
     inverse: Callable[[np.ndarray], np.ndarray] = None
     jacobian: Callable[[np.ndarray], np.ndarray] = None
-    is_lift: bool = True
     step: Callable[[np.ndarray, np.ndarray], None] = None
     unstep: Callable[[np.ndarray, np.ndarray], None] = None
 
@@ -237,19 +237,6 @@ def make_drift_shear(d: float) -> LiftedTorusMap:
     )
 
 
-def make_linear_saddle(lam: float = 2.0) -> LiftedTorusMap:
-    """(x, y) -> (lam x, y/lam).  Plane test map, not a torus lift."""
-    lam = float(lam)
-    return LiftedTorusMap(
-        name="linear_saddle",
-        params={"lam": lam},
-        forward=_split_rule(lambda x, y: (lam * x, y / lam)),
-        inverse=_split_rule(lambda X, Y: (X / lam, lam * Y)),
-        jacobian=_split_jacobian(lambda x, y: (lam, 0.0, 0.0, 1.0 / lam)),
-        is_lift=False,
-    )
-
-
 # Config `map` name -> factory; its parameter names are the map's [map] keys.
 # The lambdas look the factories up by module name at call time, so a
 # factory replaced on this module (e.g. by a tracer) is the one called.
@@ -258,7 +245,6 @@ BUILTIN_MAPS = {
     "translation": lambda a, b: make_translation_map(a, b),
     "identity": lambda: make_identity_map(),
     "drift_shear": lambda d: make_drift_shear(d),
-    "linear_saddle": lambda lam: make_linear_saddle(lam),
 }
 
 

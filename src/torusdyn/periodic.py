@@ -190,8 +190,6 @@ def _mod1_distance(a: np.ndarray, b: np.ndarray):
 def _representatives(m: LiftedTorusMap, z: np.ndarray) -> np.ndarray:
     """Shift each row by a lattice vector fixed by A^q, into [0, 1) where
     possible.  Such shifts keep the same (q, (p, r)) family exactly."""
-    if not m.is_lift:
-        return z
     v = np.floor(z + 1e-9)
     if m.homotopy_class != "identity":
         v[:, 1] = 0.0

@@ -4,12 +4,14 @@ Estimates are inner approximations: convex hulls of finite-horizon means
 over a seed grid.  The limit structure is reported through a two-horizon
 Hausdorff gap diagnostic, never as a certificate.
 
-A lift's orbits are iterated on (x mod 1, y), with the integer part of x
-carried in a separate offset.  Both admitted homotopy classes fix (a, 0),
-so f(z + (a, 0)) = f(z) + (a, 0): the reduction keeps every orbit a lift
+Orbits are iterated on (x mod 1, y), with the integer part of x carried
+in a separate offset.  Both admitted homotopy classes fix (a, 0), so
+f(z + (a, 0)) = f(z) + (a, 0): the reduction keeps every orbit a lift
 orbit, the sine never sees a large argument, and seeds that differ by
-(a, 0) follow bit-identical reduced orbits.  Maps that are not lifts are
-iterated in plane coordinates.
+(a, 0) follow bit-identical reduced orbits.  An orbit escapes when |y|
+passes ESCAPE_BOUND or the offset is no longer finite; the plane x,
+offset + x, is not bounded, since a Dehn twist shears it to order n^2 in
+n steps while the vertical means never read it.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def seed_grid(nx: int, ny: int) -> np.ndarray:
 
 def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
     """Birkhoff means of a batch at n1 and n2, continuing the n1 iterates on
-    to n2.  Each segment checks the escape bound on the plane point (offset
-    + x, y) every 256 steps from its first step on, and at its last step."""
+    to n2.  Each segment checks the escape bound on what is not reduced, y
+    and the carried offset of x, every 256 steps from its first step on, and
+    at its last step."""
     n1, n2 = horizons
     if not (0 < n1 < n2):
         raise ValueError("horizons must satisfy 0 < n1 < n2")
@@ -79,27 +82,23 @@ def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
     if z.size == 0:
         raise ValueError("empty seed grid")
     x, y = z[:, 0].copy(), z[:, 1].copy()
-    if m.is_lift:
-        # x mod 1 is iterated; offset holds the integer parts taken off
-        offset = np.floor(x)
-        x -= offset
-        whole = np.empty_like(x)
+    # x mod 1 is iterated; offset holds the integer parts taken off
+    offset = np.floor(x)
+    x -= offset
+    whole = np.empty_like(x)
     done, means = 0, []
     for n in horizons:
         last = n - done - 1
         for i in range(n - done):
             m.step(x, y)
-            if m.is_lift:
-                np.floor(x, out=whole)
-                x -= whole
-                offset += whole
+            np.floor(x, out=whole)
+            x -= whole
+            offset += whole
             if i % 256 == 0 or i == last:
-                X = offset + x if m.is_lift else x
-                if not (np.all(np.abs(X) <= ESCAPE_BOUND) and np.all(np.abs(y) <= ESCAPE_BOUND)):
+                if not (np.all(np.abs(y) <= ESCAPE_BOUND) and np.all(np.isfinite(offset))):
                     raise OrbitEscapeError(done + i + 1)
         done = n
-        # X is the plane x of the check at the segment's last step
-        means.append(np.stack([X - z[:, 0], y - z[:, 1]], axis=-1) / n)
+        means.append(np.stack([offset + x - z[:, 0], y - z[:, 1]], axis=-1) / n)
     return means
 
 

@@ -1,13 +1,14 @@
 """Shared fixtures, and helpers the library itself has no use for: the
-inverse of a map as a map, the growth map of a periodic point and its
-inverse on stacked (..., 2) points, and the pullback-rate fit of a grown
-curve."""
+linear saddle, the inverse of a map as a map, the growth map of a periodic
+point and its inverse on stacked (..., 2) points, and the pullback-rate fit
+of a grown curve."""
 
 import numpy as np
 import pytest
 
 import torusdyn as td
 from torusdyn import manifolds
+from torusdyn.maps import _split_jacobian, _split_rule
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,20 @@ def fp_origin(std_k2):
     assert pp is not None
     assert np.linalg.norm(pp.point) < 1e-10
     return pp
+
+
+def make_linear_saddle(lam: float = 2.0):
+    """(x, y) -> (lam x, y / lam): a plane map, not a torus lift, with a
+    hyperbolic fixed point at the origin whose manifolds are the axes.
+    Newton and manifold growth need no lift, so the tests run them on it."""
+    lam = float(lam)
+    return td.LiftedTorusMap(
+        name="linear_saddle",
+        params={"lam": lam},
+        forward=_split_rule(lambda x, y: (lam * x, y / lam)),
+        inverse=_split_rule(lambda X, Y: (X / lam, lam * Y)),
+        jacobian=_split_jacobian(lambda x, y: (lam, 0.0, 0.0, 1.0 / lam)),
+    )
 
 
 def inverted(m):
@@ -39,7 +54,6 @@ def inverted(m):
         forward=inv,
         inverse=fwd,
         jacobian=jac_inv,
-        is_lift=m.is_lift,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 import torusdyn as td
 from torusdyn import cli
-from torusdyn.maps import area_residual, make_linear_saddle
+from torusdyn.maps import area_residual
 from torusdyn.sft import (
     bounded_deviation_orbit,
     cycle_rotation_hull,
@@ -23,7 +23,7 @@ from torusdyn.sft import (
     verify_deviation,
 )
 
-from conftest import inverted, pullback_rate_fit
+from conftest import inverted, make_linear_saddle, pullback_rate_fit
 
 
 def _report(name, detail):

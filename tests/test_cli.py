@@ -48,10 +48,11 @@ def test_parse_minimal_defaults():
 
 
 def test_parse_rejects_unknown_key_with_line():
-    text = "[map]\nmap = standard\nwibble = 3\n[run]\ncommand = rotset\n"
-    with pytest.raises(ConfigError) as exc:
-        parse_config(text)
-    assert "line 3" in str(exc.value) and "wibble" in str(exc.value)
+    for key in ("wibble", "lam"):
+        text = "[map]\nmap = standard\n%s = 3\n[run]\ncommand = rotset\n" % key
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert "line 3" in str(exc.value) and key in str(exc.value)
 
 
 def test_parse_rejects_unknown_section_and_bad_value():
@@ -160,6 +161,9 @@ def test_bad_config_exits_2(tmp_path):
     "block",
     [
         "[map]\nmap = custom",
+        # the linear saddle and its key: a plane map, not a torus lift
+        "[map]\nmap = linear_saddle",
+        "[map]\nlam = 2",
         "[grow]\nkind = x",
         "[run]\nthreads = 4",
         "[confinement]\nmode = sideways",
@@ -208,7 +212,6 @@ def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
         ("find-periodic", "map", "a", "nan"),
         ("find-periodic", "map", "b", "-inf"),
         ("find-periodic", "map", "d", "inf"),
-        ("find-periodic", "map", "lam", "nan"),
         ("grow", "grow", "seed_x", "nan"),
         ("grow", "grow", "seed_y", "-inf"),
         ("confinement", "confinement", "theta", "inf"),
@@ -220,7 +223,7 @@ def test_removed_and_bad_choice_keys_exit_2(tmp_path, capsys, block):
 )
 def test_non_positive_sizes_exit_2(tmp_path, capsys, command, section, key, value):
     # each [map] key is set on a map that takes it
-    map_of = {"a": "translation", "b": "translation", "d": "drift_shear", "lam": "linear_saddle"}
+    map_of = {"a": "translation", "b": "translation", "d": "drift_shear"}
     text = "[map]\nmap = %s\n[run]\ncommand = %s\n[%s]\n%s = %s\n"
     code, out = _run(tmp_path, text % (map_of.get(key, "standard"), command, section, key, value))
     assert code == 2
@@ -373,7 +376,6 @@ def test_south_confinement_records_no_angle(tmp_path):
 
 
 DISKS = "[map]\nmap = standard\n[run]\ncommand = disks\n[disks]\nregion = %s\nstep = 0.02\n"
-SADDLE = "[map]\nmap = linear_saddle\nlam = 0\n[run]\ncommand = %s\n"
 # (0, 0) is fixed at every k; at k = 1e200 its D f^2 overflows to inf
 HUGE_K = "[map]\nmap = standard\nk = 1e200\n[run]\ncommand = %s\n"
 HUGE_K_SEED = HUGE_K + "[grow]\nq = 2\nseed_x = 0\nseed_y = 0\n"
@@ -385,16 +387,6 @@ HUGE_K_SEED = HUGE_K + "[grow]\nq = 2\nseed_x = 0\nseed_y = 0\n"
         # a region of at most half a step holds no cell centre
         pytest.param(DISKS % "0.005", 2, "line 7: bad value for disks.region/step", id="disks-region-below-half-cell"),
         pytest.param(DISKS % "0.01", 2, "line 7: bad value for disks.region/step", id="disks-region-half-cell"),
-        # the linear saddle (lam x, y / lam) has no inverse at lam = 0
-        pytest.param(SADDLE % "grow", 2, "line 3: bad value for map.lam", id="grow-lam-0"),
-        pytest.param(SADDLE % "find-periodic", 2, "line 3: bad value for map.lam", id="find-periodic-lam-0"),
-        # 1 / lam overflows to inf
-        pytest.param(
-            SADDLE.replace("lam = 0", "lam = 1e-320") % "grow",
-            2,
-            "line 3: bad value for map.lam",
-            id="grow-lam-tiny",
-        ),
         pytest.param(
             "[map]\nmap = identity\n[run]\ncommand = disks\n", 3, "numerical abort", id="disks-on-identity"
         ),
@@ -492,14 +484,26 @@ def test_non_finite_image_exits_3(tmp_path, capsys, command, sizes):
 
 
 def test_orbit_escape_names_the_step_count(tmp_path, capsys):
-    # the first image past the bound is at step 15; the every-256-steps
-    # check first sees it after step 257
+    # the seed (0.25, 0) is an accelerator mode: y gains k = 1e7 each step
+    # and first passes the bound at step 101; the every-256-steps check
+    # first sees it after step 257
     text = "[map]\nmap = standard\nk = 1e7\n[run]\ncommand = vrotset\n[vrotset]\ngrid = 8\n"
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = _run(tmp_path, text)
     assert code == 3
     assert "orbit escaped the coordinate bound after 257 steps" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_vrotset_ignores_the_sheared_plane_x(tmp_path):
+    # the Dehn twist shears the plane x of the accelerator modes to about
+    # n^2, past 1e9 by step 31721; the vertical estimate reads only y,
+    # which stays below 2n = 8e4
+    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = vrotset\n[vrotset]\ngrid = 4\nn1 = 1000\nn2 = 40000\n"
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    record = json.loads((out / "vrotset.json").read_text())
+    assert (record["lo"], record["hi"]) == (-2.0, 2.0)
 
 
 def test_omega_probe_narrow_drift_range(tmp_path):
@@ -870,6 +874,15 @@ def test_check_all_drift_shear_rows(tmp_path):
     ]
 
 
+def _lift_row(tmp_path):
+    """Exit code and lift-row residuals of check-all on the drift shear."""
+    code, out = _run(tmp_path, "[map]\nmap = drift_shear\n[run]\ncommand = check-all\n")
+    row = json.loads((out / "check_all.json").read_text())["rows"][0]
+    assert row["check"] == "deck-equivariance-and-area" and row["status"] == "fail"
+    residuals = re.fullmatch(r"deck (\S+) area (\S+) inverse (\S+)", row["detail"]).groups()
+    return code, [float(v) for v in residuals]
+
+
 def test_check_all_lift_row_fails_on_a_planted_inverse(tmp_path, monkeypatch):
     # an inverse whose d is off by 1e-6 (relative) leaves forward and Df as
     # they are, so only the inverse residual can turn the row to fail
@@ -877,13 +890,37 @@ def test_check_all_lift_row_fails_on_a_planted_inverse(tmp_path, monkeypatch):
         return replace(maps.make_drift_shear(d), inverse=maps.make_drift_shear(d * (1 + 1e-6)).inverse)
 
     monkeypatch.setitem(maps.BUILTIN_MAPS, "drift_shear", planted)
-    code, out = _run(tmp_path, "[map]\nmap = drift_shear\n[run]\ncommand = check-all\n")
+    code, (deck, area, inverse) = _lift_row(tmp_path)
     assert code == 1
-    row = json.loads((out / "check_all.json").read_text())["rows"][0]
-    assert row["check"] == "deck-equivariance-and-area" and row["status"] == "fail"
-    residuals = re.fullmatch(r"deck (\S+) area (\S+) inverse (\S+)", row["detail"]).groups()
-    deck, area, inverse = (float(v) for v in residuals)
     assert deck < 1e-12 and area < 1e-12 and 1e-8 < inverse < 1e-6
+
+
+def test_check_all_lift_row_fails_on_a_planted_deck_fault(tmp_path, monkeypatch):
+    # the shear followed by Y += 0.05 X is area-preserving with an exact
+    # inverse and Df, but moves f(z + (1, 0)) - f(z) off (1, 0) by (0, 0.05)
+    def planted(d):
+        shear = maps.make_drift_shear(d)
+
+        def forward(z):
+            w = shear.forward(z)
+            w[..., 1] += 0.05 * w[..., 0]
+            return w
+
+        def inverse(w):
+            w = np.asarray(w, dtype=float)
+            return shear.inverse(np.stack([w[..., 0], w[..., 1] - 0.05 * w[..., 0]], axis=-1))
+
+        def jacobian(z):
+            J = shear.jacobian(z)
+            J[..., 1, :] += 0.05 * J[..., 0, :]
+            return J
+
+        return maps.LiftedTorusMap(name="drift_shear", forward=forward, inverse=inverse, jacobian=jacobian)
+
+    monkeypatch.setitem(maps.BUILTIN_MAPS, "drift_shear", planted)
+    code, (deck, area, inverse) = _lift_row(tmp_path)
+    assert code == 1
+    assert deck > 1e-12 and area < 1e-12 and inverse < 1e-12
 
 
 def _square_around_zero(m, seeds, horizons):

@@ -141,7 +141,6 @@ def _reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
         forward=fwd,
         inverse=inv,
         jacobian=jac,
-        is_lift=m.is_lift,
     )
 
 
@@ -273,20 +272,6 @@ def test_k2_cloud_on_one_strip_matches_plane_loop_reference(std_k2, mode, theta)
     _assert_same_cloud(
         compute_confinement(std_k2, mode, **kw), _reference_cloud(std_k2, mode, **kw)
     )
-
-
-def test_non_lift_cloud_is_not_deduplicated():
-    # the vertical step grows with x, so deck-equivalent columns differ
-    def fwd(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([z[..., 0], z[..., 1] + 0.05 * z[..., 0]], axis=-1)
-
-    m = LiftedTorusMap(name="x_drift", forward=fwd, is_lift=False)
-    kw = dict(DECK, horizon=20)
-    want = _reference_cloud(m, "south", **kw)
-    _assert_same_cloud(compute_confinement(m, "south", **kw), want)
-    mask = _grid_mask(want)
-    assert not np.array_equal(mask[32:48], mask[48:64])  # x in [0, 1) vs [1, 2)
 
 
 def _assert_same_labels(mask):

@@ -11,10 +11,9 @@ import torusdyn as td
 from torusdyn import manifolds
 from torusdyn.geometry import CellIndex, point_segment_distance, row_dot
 from torusdyn.manifolds import CrossingWitness, GrowthError, NonHyperbolicError
-from torusdyn.maps import make_linear_saddle
 from torusdyn.periodic import PeriodicPoint
 
-from conftest import growth_maps, inverted, pullback_rate_fit
+from conftest import growth_maps, inverted, make_linear_saddle, pullback_rate_fit
 
 
 def _saddle_fixed_point():

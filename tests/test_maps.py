@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,11 @@ from hypothesis.extra.numpy import arrays
 import torusdyn as td
 from torusdyn.maps import (
     area_residual,
-    make_linear_saddle,
     require_finite,
     validate_homotopy,
 )
 
-from conftest import inverted
+from conftest import inverted, make_linear_saddle
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,9 +101,19 @@ def test_area_preserved_everywhere(m):
     assert area_residual(m, z) < 1e-12
 
 
-@pytest.mark.parametrize("k", [0.0, 0.5, 2.0])
-def test_deck_equivariance_lattice(k):
-    m = td.make_standard_map(k, 0.01)
+def _registry_maps():
+    """Every BUILTIN_MAPS entry, each parameter set to a generic value; the
+    standard map at three k, with k as the id."""
+    for name, factory in sorted(td.maps.BUILTIN_MAPS.items()):
+        if name == "standard":
+            yield from (pytest.param(factory(k, 0.01), id=str(k)) for k in (0.0, 0.5, 2.0))
+        else:
+            yield pytest.param(factory(*[0.37] * len(inspect.signature(factory).parameters)), id=name)
+
+
+# every registry map is a lift: the library declares no other kind
+@pytest.mark.parametrize("m", _registry_maps())
+def test_deck_equivariance_lattice(m):
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 1, size=(200, 2))
     for a in range(-2, 3):
@@ -266,21 +276,11 @@ def _drift_shear_forms(d, _q):
     )
 
 
-def _linear_saddle_forms(lam, _q):
-    return (
-        make_linear_saddle(lam),
-        lambda x, y: (lam * x, y / lam),
-        lambda X, Y: (X / lam, lam * Y),
-        lambda x, y: (lam, 0.0, 0.0, 1.0 / lam),
-    )
-
-
 _FORMS = {
     "standard": _standard_forms,
     "translation": _translation_forms,
     "identity": _identity_forms,
     "drift_shear": _drift_shear_forms,
-    "linear_saddle": _linear_saddle_forms,
 }
 
 

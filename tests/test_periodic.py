@@ -18,6 +18,8 @@ from torusdyn.periodic import (
     sweep_periodic,
 )
 
+from conftest import make_linear_saddle
+
 FOUR_PI = 4.0 * np.pi
 
 
@@ -95,8 +97,6 @@ def _ref_same_orbit(m, a, b):
 
 
 def _ref_normalize(m, pp):
-    if not m.is_lift:
-        return pp
     z = pp.point
     if m.homotopy_class == "identity":
         v = np.floor(z + 1e-9)
@@ -358,7 +358,7 @@ def test_translation_map_sweep_is_empty():
 
 
 def test_linear_saddle_sweep_finds_its_fixed_point():
-    m = td.make_linear_saddle(2.0)
+    m = make_linear_saddle(2.0)
     seeds = _jittered_grid(4, 3) - 0.5
     got = sweep_periodic(m, 1, (0, 0), seeds)
     assert len(got) == 1

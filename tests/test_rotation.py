@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import torusdyn as td
 from torusdyn.geometry import interior_margin
-from torusdyn.maps import LiftedTorusMap, OrbitEscapeError
+from torusdyn.maps import OrbitEscapeError
 from torusdyn.rotation import WrongHomotopyClassError, _two_horizon_means
 
 
@@ -87,21 +87,29 @@ def test_input_validation():
 
 
 def test_escape_step_counts_across_both_horizons():
-    # |x| first exceeds the 1e9 bound at step 1001, the second segment's
+    # |y| first exceeds the 1e9 bound at step 1001, the second segment's
     # first check
-    m = td.make_translation_map(1e6, 0.0)
+    m = td.make_translation_map(0.0, 1e6)
     with pytest.raises(OrbitEscapeError, match="after 1001 steps"):
         td.estimate_rotation_set(m, [(0.0, 0.0)], (1000, 2000))
 
 
 def test_escape_in_a_segments_last_steps_is_reported():
-    # |x| = 1.1e9 first at step 10, the last step of the second segment and
+    # |y| = 1.1e9 first at step 10, the last step of the second segment and
     # no multiple of 256 steps past a segment start
-    m = td.make_translation_map(1.1e8, 0.0)
+    m = td.make_translation_map(0.0, 1.1e8)
     with pytest.raises(OrbitEscapeError, match="after 10 steps"):
         td.estimate_rotation_set(m, [(0.0, 0.0)], (5, 10))
     with pytest.raises(OrbitEscapeError, match="after 262 steps"):
         td.estimate_rotation_set(m, [(0.0, 0.0)], (5, 1000))
+
+
+def test_escape_reads_y_and_a_finite_offset_not_plane_x():
+    # x is reduced mod 1, so only its integer offset can leave the floats
+    poly = td.estimate_rotation_set(td.make_translation_map(1.1e8, 0.0), [(0.0, 0.0)], (5, 1000))
+    assert poly.hull.tolist() == [[1.1e8, 0.0]]
+    with np.errstate(over="ignore"), pytest.raises(OrbitEscapeError, match="after 2 steps"):
+        td.estimate_rotation_set(td.make_translation_map(1e308, 0.0), [(0.0, 0.0)], (1, 2))
 
 
 def _plane_means(m, z, horizons):
@@ -134,15 +142,3 @@ def test_plane_loop_is_not_deck_invariant(std_k2):
     want = _plane_means(std_k2, DYADIC, (100, 1000))[1][:, 1]
     shifted = _plane_means(std_k2, DYADIC + (2**20, 0), (100, 1000))[1][:, 1]
     assert not np.array_equal(shifted, want)
-
-
-def test_non_lift_means_equal_plane_loop():
-    # the vertical step grows with x, so x must not be reduced
-    def fwd(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([z[..., 0], z[..., 1] + 0.05 * z[..., 0]], axis=-1)
-
-    m = LiftedTorusMap(name="x_drift", forward=fwd, is_lift=False)
-    seeds = DYADIC * 3.0 - 1.0
-    for got, want in zip(_two_horizon_means(m, seeds, (5, 300)), _plane_means(m, seeds, (5, 300))):
-        assert got.tobytes() == want.tobytes()
