@@ -16,9 +16,11 @@ hull); 3 numerical abort, any `maps.NumericalAbort` (an orbit whose y
 leaves the coordinate bound, or whose x offset is not finite; a
 non-finite image or orbit Jacobian; a singular Newton matrix, failed
 manifold growth, a [grow] seed with no hyperbolic periodic point, the
-simple-cycle cap exceeded, no vertex-connected cycle combination for rho).
-In check-all an abort in a gated check reads as an inconclusive row; one in
-the rotation estimate, which decides the gate, exits 3.
+simple-cycle cap exceeded, no vertex-connected cycle combination for rho),
+or out of memory (a `MemoryError`: an allocation failed, such as a vrotset
+grid too large to hold).  In check-all a `NumericalAbort` in a gated check
+reads as an inconclusive row; one in the rotation estimate, which decides
+the gate, exits 3.
 """
 
 from __future__ import annotations
@@ -514,6 +516,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except maps.NumericalAbort as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print("numerical abort: out of memory: %s" % (str(exc) or "allocation failed"), file=sys.stderr)
         return EXIT_NUMERIC
     write_manifest(outdir, cfg.resolved(), cfg.warnings, CHECK_FIXED if cfg.command == "check-all" else None)
     return status

@@ -6,19 +6,16 @@ is such a lift: rotation, confinement and the periodic sweep shift points
 by lattice vectors and rely on that identity, which a test checks for every
 ``BUILTIN_MAPS`` entry.
 
-Each factory states only its closed-form formulas on split coordinates: the
-forward and inverse rules (x, y) -> (X, Y) and the Jacobian entries
-(x, y) -> (a, b, c, d).  ``_split_rule`` and ``_split_jacobian`` own the
-rest: float coercion, the (..., 2) stacking and the (..., 2, 2) layout
-[[a, b], [c, d]].  A new map is one factory and one ``BUILTIN_MAPS`` entry.
-
-Orbit loops and manifold growth advance their points with the map's
-in-place rules ``step(x, y)`` and ``unstep(x, y)``: x and y are float64
-arrays of one shape, owned by the caller, and after the call they hold the
-image under ``forward`` (resp. ``inverse``), bit for bit.  The standard map
-supplies both fused, and its ``forward`` and ``inverse`` are those rules on
-a copy; any other map gets rules that stack (x, y), call ``forward`` or
-``inverse`` and write the image back.
+A map direction has one rule, stated once as an in-place kernel
+``step(x, y)``: x and y are float64 arrays of one shape, owned by the
+caller, and after the call they hold the image.  ``on_copies(step)`` is the
+(..., 2) -> (..., 2) rule that runs the kernel on copies and carries it as
+``rule.in_place``, so the stacked ``forward`` and ``inverse`` and the
+in-place ``step`` and ``unstep`` that orbit loops and manifold growth run
+are one computation and agree bit for bit.  Each factory states its two
+kernels and its Jacobian entries (x, y) -> (a, b, c, d), which
+``_split_jacobian`` lays out as [[a, b], [c, d]].  A new map is one factory
+and one ``BUILTIN_MAPS`` entry.
 """
 
 from __future__ import annotations
@@ -76,12 +73,12 @@ def homotopy_class(A: np.ndarray) -> str:
 class LiftedTorusMap:
     """A plane map covering a torus map, with closed-form rules.
 
-    ``forward``, ``inverse`` map arrays of shape (..., 2) to the same shape;
-    ``jacobian`` maps them to shape (..., 2, 2); the factories build all
-    three from split-coordinate formulas.  ``step(x, y)`` and
-    ``unstep(x, y)`` overwrite split x and y arrays with their ``forward``
-    and ``inverse`` images; left out, each is derived from its rule
-    (``dataclasses.replace`` keeps the ones it was given).
+    ``forward`` and ``inverse`` map arrays of shape (..., 2) to the same
+    shape and must each carry an in-place kernel as ``in_place`` (build
+    them with ``on_copies``; a wrapper made with ``functools.wraps`` keeps
+    it); ``jacobian`` maps them to shape (..., 2, 2).  ``step`` and
+    ``unstep`` are those kernels, read from the rules on construction, so
+    ``dataclasses.replace`` with a new rule also replaces its kernel.
     """
 
     name: str
@@ -90,51 +87,35 @@ class LiftedTorusMap:
     forward: Callable[[np.ndarray], np.ndarray] = None
     inverse: Callable[[np.ndarray], np.ndarray] = None
     jacobian: Callable[[np.ndarray], np.ndarray] = None
-    step: Callable[[np.ndarray, np.ndarray], None] = None
-    unstep: Callable[[np.ndarray, np.ndarray], None] = None
+    step: Callable[[np.ndarray, np.ndarray], None] = field(init=False, repr=False)
+    unstep: Callable[[np.ndarray, np.ndarray], None] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "homotopy", validate_homotopy(self.homotopy))
-        if self.step is None:
-            object.__setattr__(self, "step", _in_place(self.forward))
-        if self.unstep is None:
-            object.__setattr__(self, "unstep", _in_place(self.inverse))
+        for kernel, rule in (("step", "forward"), ("unstep", "inverse")):
+            in_place = getattr(getattr(self, rule), "in_place", None)
+            if in_place is None:
+                raise TypeError("%s rule has no in-place kernel; build it with maps.on_copies" % rule)
+            object.__setattr__(self, kernel, in_place)
 
     @property
     def homotopy_class(self) -> str:
         return homotopy_class(self.homotopy)
 
 
-def _in_place(rule):
-    """In-place (x, y) -> None that writes back rule's image of (x, y)."""
+def on_copies(step):
+    """The (..., 2) -> (..., 2) rule that runs the in-place kernel
+    step(x, y) on copies of the split coordinates, with the kernel attached
+    as ``rule.in_place``."""
 
-    def apply(x, y):
-        w = rule(np.stack([x, y], axis=-1))
-        x[...] = w[..., 0]
-        y[...] = w[..., 1]
-
-    return apply
-
-
-def _on_copies(rule):
-    """The formula (x, y) -> (X, Y) of an in-place rule, run on copies."""
-
-    def apply(x, y):
-        x, y = x.copy(), y.copy()
-        rule(x, y)
-        return x, y
-
-    return apply
-
-
-def _split_rule(rule):
-    """The (..., 2) -> (..., 2) map of a formula (x, y) -> (X, Y)."""
-
-    def apply(z):
+    def rule(z):
         z = np.asarray(z, dtype=float)
-        return np.stack(rule(z[..., 0], z[..., 1]), axis=-1)
+        x, y = z[..., 0].copy(), z[..., 1].copy()
+        step(x, y)
+        return np.stack([x, y], axis=-1)
 
-    return apply
+    rule.in_place = step
+    return rule
 
 
 def _split_jacobian(entries):
@@ -191,22 +172,29 @@ def make_standard_map(k: float, epsilon: float = 0.0) -> LiftedTorusMap:
         name="standard",
         params={"k": k, "epsilon": epsilon},
         homotopy=np.array([[1, 1], [0, 1]]),
-        forward=_split_rule(_on_copies(step)),
-        inverse=_split_rule(_on_copies(unstep)),
+        forward=on_copies(step),
+        inverse=on_copies(unstep),
         jacobian=_split_jacobian(jac),
-        step=step,
-        unstep=unstep,
     )
 
 
 def make_translation_map(a: float, b: float) -> LiftedTorusMap:
     """z -> z + (a, b), identity homotopy."""
     a, b = float(a), float(b)
+
+    def step(x, y):
+        x += a
+        y += b
+
+    def unstep(x, y):
+        x -= a
+        y -= b
+
     return LiftedTorusMap(
         name="translation",
         params={"a": a, "b": b},
-        forward=_split_rule(lambda x, y: (x + a, y + b)),
-        inverse=_split_rule(lambda X, Y: (X - a, Y - b)),
+        forward=on_copies(step),
+        inverse=on_copies(unstep),
         jacobian=_split_jacobian(lambda x, y: (1.0, 0.0, 0.0, 1.0)),
     )
 
@@ -225,14 +213,17 @@ def make_drift_shear(d: float) -> LiftedTorusMap:
     """
     d = float(d)
 
-    def c(y):
-        return d * np.sin(np.pi * y) ** 2
+    def step(x, y):
+        x += d * np.sin(np.pi * y) ** 2
+
+    def unstep(x, y):
+        x -= d * np.sin(np.pi * y) ** 2
 
     return LiftedTorusMap(
         name="drift_shear",
         params={"d": d},
-        forward=_split_rule(lambda x, y: (x + c(y), y)),
-        inverse=_split_rule(lambda X, Y: (X - c(Y), Y)),
+        forward=on_copies(step),
+        inverse=on_copies(unstep),
         jacobian=_split_jacobian(lambda x, y: (1.0, d * np.pi * np.sin(TWO_PI * y), 0.0, 1.0)),
     )
 

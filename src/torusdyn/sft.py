@@ -67,9 +67,6 @@ class WeightedSft:
         if not has_cycle:
             raise ValueError("graph must contain at least one cycle")
 
-    def out_edges(self, v: int):
-        return [e for e, (i, _, _) in enumerate(self.edges) if i == v]
-
 
 def make_sft(n: int, edges) -> WeightedSft:
     """Build a WeightedSft from (i, j, wx, wy) rows, coercing to Fractions."""
@@ -111,14 +108,17 @@ def cycle_vertices(sft: WeightedSft, cycle: tuple) -> tuple:
 
 def simple_cycles(sft: WeightedSft, cap: int = DEFAULT_CYCLE_CAP) -> list:
     """Simple cycles as edge-index tuples, rooted at each cycle's least
-    vertex, in deterministic lexicographic order."""
+    vertex, in deterministic lexicographic order.  Only vertices with an
+    out-edge are visited, so the cost does not grow with the vertex count."""
     cycles = []
-    out = {v: sft.out_edges(v) for v in range(sft.n)}
-    for root in range(sft.n):
+    out = {}
+    for e, (i, _, _) in enumerate(sft.edges):
+        out.setdefault(i, []).append(e)
+    for root in sorted(out):
         stack = [(root, (), (root,))]
         while stack:
             v, path, seen = stack.pop()
-            for e in reversed(out[v]):
+            for e in reversed(out.get(v, ())):
                 w = sft.edges[e][1]
                 if w == root:
                     cycles.append(path + (e,))
@@ -261,11 +261,12 @@ def _cycle_components(sft: WeightedSft, cycles: list) -> list:
 
     Cycles that share a vertex lie in one component, and the simple cycles
     of a component link all its vertices, so the components are the classes
-    of vertices joined through common cycles."""
-    root = list(range(sft.n))
+    of vertices joined through common cycles.  The union-find holds only
+    cycle vertices."""
+    root = {}
 
     def find(v):
-        while root[v] != v:
+        while root.setdefault(v, v) != v:
             v = root[v]
         return v
 

@@ -8,7 +8,7 @@ import pytest
 
 import torusdyn as td
 from torusdyn import manifolds
-from torusdyn.maps import _split_jacobian, _split_rule
+from torusdyn.maps import _split_jacobian, on_copies
 
 
 @pytest.fixture(scope="session")
@@ -29,11 +29,20 @@ def make_linear_saddle(lam: float = 2.0):
     hyperbolic fixed point at the origin whose manifolds are the axes.
     Newton and manifold growth need no lift, so the tests run them on it."""
     lam = float(lam)
+
+    def step(x, y):
+        x *= lam
+        y /= lam
+
+    def unstep(x, y):
+        x /= lam
+        y *= lam
+
     return td.LiftedTorusMap(
         name="linear_saddle",
         params={"lam": lam},
-        forward=_split_rule(lambda x, y: (lam * x, y / lam)),
-        inverse=_split_rule(lambda X, Y: (X / lam, lam * Y)),
+        forward=on_copies(step),
+        inverse=on_copies(unstep),
         jacobian=_split_jacobian(lambda x, y: (lam, 0.0, 0.0, 1.0 / lam)),
     )
 

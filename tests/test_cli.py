@@ -495,6 +495,22 @@ def test_orbit_escape_names_the_step_count(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, message):
+    # a grid too large to hold fails in its first allocation; the test
+    # raises that failure instead of asking for the memory
+    def no_memory(nx, ny):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(rotation, "seed_grid", no_memory)
+    text = "[map]\nmap = standard\nk = 2\n[run]\ncommand = vrotset\n[vrotset]\ngrid = 8\n"
+    code, out = _run(tmp_path, text)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical abort: out of memory: %s\n" % (message or "allocation failed")
+    assert not (out / "manifest.json").exists()
+
+
 def test_vrotset_ignores_the_sheared_plane_x(tmp_path):
     # the Dehn twist shears the plane x of the accelerator modes to about
     # n^2, past 1e9 by step 31721; the vertical estimate reads only y,
@@ -901,21 +917,22 @@ def test_check_all_lift_row_fails_on_a_planted_deck_fault(tmp_path, monkeypatch)
     def planted(d):
         shear = maps.make_drift_shear(d)
 
-        def forward(z):
-            w = shear.forward(z)
-            w[..., 1] += 0.05 * w[..., 0]
-            return w
+        def step(x, y):
+            shear.step(x, y)
+            y += 0.05 * x
 
-        def inverse(w):
-            w = np.asarray(w, dtype=float)
-            return shear.inverse(np.stack([w[..., 0], w[..., 1] - 0.05 * w[..., 0]], axis=-1))
+        def unstep(x, y):
+            y -= 0.05 * x
+            shear.unstep(x, y)
 
         def jacobian(z):
             J = shear.jacobian(z)
             J[..., 1, :] += 0.05 * J[..., 0, :]
             return J
 
-        return maps.LiftedTorusMap(name="drift_shear", forward=forward, inverse=inverse, jacobian=jacobian)
+        return maps.LiftedTorusMap(
+            name="drift_shear", forward=maps.on_copies(step), inverse=maps.on_copies(unstep), jacobian=jacobian
+        )
 
     monkeypatch.setitem(maps.BUILTIN_MAPS, "drift_shear", planted)
     code, (deck, area, inverse) = _lift_row(tmp_path)

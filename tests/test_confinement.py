@@ -17,7 +17,7 @@ from torusdyn.confinement import (
     compute_confinement,
     omega_probe,
 )
-from torusdyn.maps import LiftedTorusMap, area_residual
+from torusdyn.maps import LiftedTorusMap, area_residual, on_copies
 
 SMALL = dict(window=((-1.0, 1.0), (-1.0, 1.0)), grid_step=1.0 / 16.0)
 
@@ -119,11 +119,13 @@ def _reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
     """Conjugate by (x, y) -> (x, -y); swaps the south/north half planes."""
     T = np.array([1.0, -1.0])
 
-    def fwd(z):
-        return m.forward(np.asarray(z, dtype=float) * T) * T
+    def conjugate(kernel):
+        def apply(x, y):
+            np.negative(y, out=y)
+            kernel(x, y)
+            np.negative(y, out=y)
 
-    def inv(w):
-        return m.inverse(np.asarray(w, dtype=float) * T) * T
+        return apply
 
     def jac(z):
         J = m.jacobian(np.asarray(z, dtype=float) * T).copy()
@@ -138,8 +140,8 @@ def _reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
         name=m.name + "_vreflect",
         params=dict(m.params),
         homotopy=A,
-        forward=fwd,
-        inverse=inv,
+        forward=on_copies(conjugate(m.step)),
+        inverse=on_copies(conjugate(m.unstep)),
         jacobian=jac,
     )
 

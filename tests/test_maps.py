@@ -1,3 +1,4 @@
+import functools
 import inspect
 from dataclasses import replace
 
@@ -191,9 +192,41 @@ def test_standard_unstep_matches_inverse_bit_for_bit(xy, k, eps):
 
 
 def test_replace_keeps_the_given_step_and_unstep(std_k2):
-    # a map whose rules are wrapped (as a tracer does) keeps the fused kernels
-    traced = replace(std_k2, forward=lambda z: std_k2.forward(z), inverse=lambda w: std_k2.inverse(w))
+    # rules wrapped with functools.wraps (as a tracer does) keep the fused kernels
+    traced = replace(
+        std_k2,
+        forward=functools.wraps(std_k2.forward)(lambda z: std_k2.forward(z)),
+        inverse=functools.wraps(std_k2.inverse)(lambda w: std_k2.inverse(w)),
+    )
     assert traced.step is std_k2.step and traced.unstep is std_k2.unstep
+
+
+def test_replaced_inverse_is_the_unstep_run():
+    # a replaced rule brings its kernel along: growth runs the inverse the
+    # lift row checks, however close the old one is
+    d = 0.4
+    planted = td.make_drift_shear(d * (1 + 1e-6))
+    m = replace(td.make_drift_shear(d), inverse=planted.inverse)
+    z = np.random.default_rng(5).uniform(-3, 3, size=(64, 2))
+    x, y = z[:, 0].copy(), z[:, 1].copy()
+    m.unstep(x, y)
+    want = planted.inverse(z)
+    assert x.tobytes() == want[:, 0].tobytes() and y.tobytes() == want[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("rule", ["forward", "inverse"])
+def test_a_rule_without_a_kernel_is_refused(std_k2, rule):
+    plain = getattr(std_k2, rule)
+    with pytest.raises(TypeError, match="%s rule has no in-place kernel" % rule):
+        replace(std_k2, **{rule: lambda z: plain(z)})
+    rules = {"forward": std_k2.forward, "inverse": std_k2.inverse, rule: lambda z: plain(z)}
+    with pytest.raises(TypeError, match="%s rule has no in-place kernel" % rule):
+        td.LiftedTorusMap(name="plain", jacobian=std_k2.jacobian, **rules)
+
+
+@pytest.mark.parametrize("m", _registry_maps())
+def test_every_builtin_rule_carries_its_kernel(m):
+    assert m.forward.in_place is m.step and m.inverse.in_place is m.unstep
 
 
 @given(xy=_BATCHES, k=st.floats(-3.0, 3.0), eps=_NONZERO)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -441,6 +442,29 @@ def test_triples_of_two_components_around_rho():
     # two of them opposite: the triples of both components are scanned
     s = make_sft(2, [(1, 1, 2, 0), (0, 0, 1, 0), (1, 1, 0, 2), (0, 0, 0, 1), (0, 0, -1, -1), (1, 1, -2, -2)])
     assert _assert_index_matches_scan(s, (F(0), F(0))) == [((0,), F(1, 3)), ((2,), F(1, 3)), ((5,), F(1, 3))]
+
+
+def test_memory_does_not_grow_with_vertices_without_edges():
+    # the two-component graph above, its vertex 1 relabelled n - 1: a
+    # million vertices cost nothing when only two carry edges (a table per
+    # vertex peaks at about 124 MiB)
+    n = 10**6
+    rows = [(1, 1, 2, 0), (0, 0, 1, 0), (1, 1, 0, 2), (0, 0, 0, 1), (0, 0, -1, -1), (1, 1, -2, -2)]
+    small = make_sft(2, rows)
+    tracemalloc.start()
+    try:
+        big = make_sft(n, [(i and n - 1, j and n - 1, wx, wy) for i, j, wx, wy in rows])
+        hull = cycle_rotation_hull(big, cycle_cap=n)
+        orbit = bounded_deviation_orbit(big, (F(0), F(0)), 100, cycle_cap=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert simple_cycles(big) == simple_cycles(small)
+    assert hull == cycle_rotation_hull(small)
+    assert orbit.word == bounded_deviation_orbit(small, (F(0), F(0)), 100).word
+    with pytest.raises(ValueError, match="cycle_cap must be at least the vertex count"):
+        cycle_rotation_hull(big)
 
 
 def test_lattice_scale_beyond_int64():
