@@ -9,6 +9,7 @@ import argparse
 import numpy as np
 
 import torusdyn as td
+from torusdyn import maps
 from torusdyn.svg import SvgCanvas
 
 
@@ -25,15 +26,15 @@ def main():
     m = td.make_standard_map(args.k, args.epsilon)
     rng = np.random.default_rng(args.seed)
     Z = rng.uniform(0, 1, size=(args.orbits, 2))
-    # iterate on (x mod 1, y): the lift moves z + (1, 0) to f(z) + (1, 0)
-    x, y = Z[:, 0].copy(), Z[:, 1].copy()
     cloud = np.empty((args.iters + 1, args.orbits, 2))
     cloud[0] = Z
-    for row in cloud[1:]:
-        m.step(x, y)
-        x -= np.floor(x)
-        row[:, 0] = x
-        row[:, 1] = y % 1.0
+
+    def record(i, x, y):
+        cloud[i, :, 0] = x
+        cloud[i, :, 1] = y % 1.0
+
+    # iterate on (x mod 1, y); the integer parts go to an offset never read
+    maps.iterate(m.step, Z[:, 0].copy(), Z[:, 1].copy(), args.iters, np.zeros(args.orbits), observe=record)
     cloud = cloud.reshape(-1, 2)
 
     c = SvgCanvas((0.0, 1.0), (0.0, 1.0), width=700, height=700)

@@ -12,9 +12,10 @@ sft-orbit rho; a negative rng_seed or --seed; an output directory that
 cannot be created, such as a path naming a file; a map of the wrong
 homotopy class for rotset or vrotset; an unreadable or malformed [sft]
 graph, a cycle_cap below its vertex count, a rho outside its cycle-mean
-hull); 3 numerical abort, any `maps.NumericalAbort` (an orbit whose y
-leaves the coordinate bound, or whose x offset is not finite; a
-non-finite image or orbit Jacobian; a singular Newton matrix, failed
+hull); 3 numerical abort, any `maps.NumericalAbort` (an orbit escape at
+a check of `maps.iterate`'s one schedule, in every command but
+find-periodic and the sft ones: y past the bound, or x or its offset not
+finite; a non-finite orbit Jacobian; a singular Newton matrix, failed
 manifold growth, a [grow] seed with no hyperbolic periodic point, the
 simple-cycle cap exceeded, no vertex-connected cycle combination for rho),
 or out of memory (a `MemoryError`: an allocation failed, such as a vrotset

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CellIndex, convex_hull
-from .maps import LiftedTorusMap, require_finite
+from . import maps
+from .maps import LiftedTorusMap
 
 MODES = ("theta", "south", "north")
 DEFAULT_WINDOW = ((-4.0, 4.0), (-4.0, 4.0))
@@ -69,14 +70,15 @@ def _project(x, y, d) -> np.ndarray:
 
 def _half_plane(mode: str, theta: float | None):
     """Direction d of the mode's half plane <z, d> >= 0 and its predicate
-    ok(x, y), one bool per point of split coordinate arrays."""
+    ok(x, y), one bool per point of split coordinate arrays: the negation of
+    the broken inequality, so a NaN point stays in until an escape check."""
     if mode == "theta":
         d = np.array([np.cos(theta), np.sin(theta)])
-        return d, lambda x, y: _project(x, y, d) >= 0.0
+        return d, lambda x, y: ~(_project(x, y, d) < 0.0)
     if mode == "south":
-        return np.array([0.0, -1.0]), lambda x, y: y <= 0.0
+        return np.array([0.0, -1.0]), lambda x, y: ~(y > 0.0)
     if mode == "north":
-        return np.array([0.0, 1.0]), lambda x, y: y >= 0.0
+        return np.array([0.0, 1.0]), lambda x, y: ~(y < 0.0)
     raise ValueError("mode must be one of %s" % ", ".join(MODES))
 
 
@@ -155,8 +157,8 @@ def compute_confinement(
     the direction vector; in south/north mode it is on the sign of the
     vertical coordinate.  Nothing checks the homotopy class: any mode runs
     on any map.  A horizon below 1, theta mode without an angle, another
-    mode with one or an empty grid raises ValueError, and a non-finite image
-    NonFiniteImageError.
+    mode with one or an empty grid raises ValueError, and an orbit escape
+    (`maps.iterate`) OrbitEscapeError.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -181,14 +183,14 @@ def compute_confinement(
     # iterates
     gx, gy = X.ravel(), Y.ravel()
     flat = np.flatnonzero(ok(gx, gy))
-    x, y = gx[flat], gy[flat]
-    for _ in range(horizon):
-        if len(flat) == 0:
-            break
-        m.step(x, y)
-        require_finite(x, y)
+
+    def survive(i, x, y):
+        nonlocal flat
         alive = ok(x, y)
-        flat, x, y = flat[alive], x[alive], y[alive]
+        flat = flat[alive]
+        return alive
+
+    maps.iterate(m.step, gx[flat], gy[flat], horizon, observe=survive)
 
     rep_mask = np.zeros(X.shape, dtype=bool)
     rep_mask.flat[flat] = True
@@ -221,7 +223,7 @@ def omega_probe(
     check only, not a proof); otherwise "persistent".  Returns
     (verdict, drifts) with the per-point projected Birkhoff means; a cloud
     with no candidate points, or none that stays in the half plane, gives
-    no drifts and "escaping".  A non-finite image raises NonFiniteImageError.
+    no drifts and "escaping".  An orbit escape raises OrbitEscapeError.
     """
     pts = cloud.candidate_unbounded_points()
     if len(pts) > MAX_OMEGA_SAMPLES:
@@ -236,17 +238,16 @@ def omega_probe(
     lo_x, lo_y = np.full(len(pts), np.inf), np.full(len(pts), np.inf)
     hi_x, hi_y = np.full(len(pts), -np.inf), np.full(len(pts), -np.inf)
     low_dot = np.full(len(pts), np.inf) if cloud.mode == "theta" else None
-    for _ in range(extra_iterations):
-        m.step(x, y)
+
+    def extremes(i, x, y):
         np.minimum(lo_x, x, out=lo_x)
         np.minimum(lo_y, y, out=lo_y)
         np.maximum(hi_x, x, out=hi_x)
         np.maximum(hi_y, y, out=hi_y)
         if low_dot is not None:
             np.minimum(low_dot, _project(x, y, d), out=low_dot)
-    # the map rules carry a non-finite coordinate on to every later image,
-    # so checking the last iterate catches one from any step
-    require_finite(x, y)
+
+    maps.iterate(m.step, x, y, extra_iterations, observe=extremes)
     # points whose later iterates break the inequality were finite-horizon
     # artifacts, not members of the confinement set; drop them from the stats.
     # South and north test one coordinate, so its two extremes decide.

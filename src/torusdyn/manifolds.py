@@ -3,13 +3,13 @@
 Unstable/stable branches of a hyperbolic periodic point are grown as
 polylines by iterating a short seed segment along the eigendirection with
 adaptive preimage refinement.  Growth keeps its points as split x and y
-arrays, advances them in place with the map's `step` (unstable) or
-`unstep` (stable), inserts refinement points into the 1-D arrays, and
-stacks the (n, 2) vertices once at the end.  Crossings between curves are
-validated by a discretized rectangle test: a witness requires a strict
-side change across the local manifold piece and an exit through a
-rectangle side in both complementary components, so tangential touches
-never count.
+arrays, advances them in place by `maps.iterate` on the map's `step`
+(unstable) or `unstep` (stable), inserts refinement points into the 1-D
+arrays, and stacks the (n, 2) vertices once at the end.  Crossings
+between curves are validated by a discretized rectangle test: a witness
+requires a strict side change across the local manifold piece and an exit
+through a rectangle side in both complementary components, so tangential
+touches never count.
 
 Crossing search runs a broad and a narrow phase per chunk of consecutive
 piece segments: all of them without a witness cap, else PIECE_CHUNK and
@@ -41,7 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import CellIndex, row_dot
-from .maps import LiftedTorusMap, NumericalAbort, require_finite
+from . import maps
+from .maps import LiftedTorusMap, NumericalAbort
 from .periodic import PeriodicPoint
 
 DEFAULT_H_MAX = 1e-3
@@ -187,9 +188,9 @@ def grow_manifold(
     levels plus that refined prefix; exceeding it raises `GrowthError`,
     never a partial curve.
 
-    The points are held as split x and y arrays and advanced in place by
-    the map's `step` (then minus (p, r)) or, after adding (p, r), its
-    `unstep`; the (n, 2) vertices are stacked once at the end.
+    The points are split x and y arrays advanced in place by `maps.iterate`,
+    so an orbit escape, a NaN included, raises OrbitEscapeError instead of
+    leaving the arclength short of the budget for ever.
     """
     if kind not in ("unstable", "stable"):
         raise ValueError("kind must be 'unstable' or 'stable'")
@@ -203,20 +204,20 @@ def grow_manifold(
         direction = -direction
     q = pp.period
     p, r = (float(c) for c in pp.translation)
+    # g = f^q - (p, r) shifts after each q steps, g^-1 = f^-q(. + (p, r)) before
+    kernel, dp, dr = (m.step, -p, -r) if kind == "unstable" else (m.unstep, p, r)
 
     def advance(x, y, times):
         """Overwrite x and y with their image under g^times."""
-        for _ in range(times):
-            if kind == "unstable":
-                for _ in range(q):
-                    m.step(x, y)
-                x -= p
-                y -= r
-            else:
-                x += p
-                y += r
-                for _ in range(q):
-                    m.unstep(x, y)
+
+        def shift(i, x, y):
+            if i % q == 0 and (kind == "unstable" or i < times * q):
+                x += dp
+                y += dr
+
+        if kind == "stable":
+            shift(0, x, y)
+        maps.iterate(kernel, x, y, times * q, observe=shift)
 
     z0 = pp.point + delta_seed * direction
     x, y = np.array(z0[0]), np.array(z0[1])
@@ -552,8 +553,8 @@ def mixing_probe(
 
     Samples ball_u on a disk grid, iterates, and records per-n hits on
     ball_v.  Returns (hits, n0) where n0 is the first index with an
-    unbroken hit tail up to n_max, or None when the tail is broken.  A
-    non-finite image raises NonFiniteImageError.
+    unbroken hit tail up to n_max, or None when the tail is broken.  An
+    orbit escape raises OrbitEscapeError.
     """
     cu, ru = np.asarray(ball_u[0], float), float(ball_u[1])
     cv, rv = np.asarray(ball_v[0], float), float(ball_v[1])
@@ -565,12 +566,12 @@ def mixing_probe(
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     pts = pts[np.linalg.norm(pts, axis=1) <= ru] + cu
     hits = np.zeros(n_max + 1, dtype=bool)
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    for n in range(1, n_max + 1):
-        m.step(x, y)
-        require_finite(x, y)
+
+    def ball_hit(n, x, y):
         dx, dy = x - cv[0], y - cv[1]
         hits[n] = bool(np.any(np.sqrt(dx * dx + dy * dy) <= rv))
+
+    maps.iterate(m.step, pts[:, 0].copy(), pts[:, 1].copy(), n_max, observe=ball_hit)
     n0 = None
     if hits[n_max]:
         n = n_max

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+ESCAPE_BOUND = 1e9
 
 
 class NumericalAbort(RuntimeError):
@@ -44,6 +45,7 @@ class OrbitEscapeError(NumericalAbort):
 
     def __init__(self, steps: int):
         super().__init__("orbit escaped the coordinate bound after %d steps" % steps)
+        self.steps = steps
 
 
 def validate_homotopy(entries) -> np.ndarray:
@@ -243,6 +245,36 @@ def require_finite(*arrays):
     """Raise NonFiniteImageError unless every entry of every array is finite."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise NonFiniteImageError("non-finite image (parameter overflow?)")
+
+
+def iterate(kernel, x, y, n: int, offset=None, observe=None) -> None:
+    """The one orbit driver: n steps of an in-place kernel, a map's `step`
+    or `unstep`, on the orbits in x and y.
+
+    With `offset`, x is reduced mod 1 after each step and its integer part
+    added to `offset`; both homotopy classes fix (a, 0), so the orbit stays
+    a lift orbit.  `observe(i, x, y)` then sees image i; a boolean mask it
+    returns keeps only those orbits (used without an offset; the caller's
+    arrays stay at that step).  At step 1, every 256 steps after it and at
+    step n, |y| must be at most ESCAPE_BOUND and x, or the offset, finite,
+    else OrbitEscapeError(i); the kernels carry a NaN on to every later
+    image.  The plane x is not bounded: a Dehn twist shears it to order n^2.
+    """
+    whole = None if offset is None else np.empty_like(x)
+    for i in range(1, n + 1):
+        if x.size == 0:
+            return
+        kernel(x, y)
+        if whole is not None:
+            np.floor(x, out=whole)
+            x -= whole
+            offset += whole
+        keep = None if observe is None else observe(i, x, y)
+        if keep is not None:
+            x, y = x[keep], y[keep]
+        if i % 256 == 1 or i == n:
+            if not (np.all(np.abs(y) <= ESCAPE_BOUND) and np.all(np.isfinite(x if offset is None else offset))):
+                raise OrbitEscapeError(i)
 
 
 def deck_residual(m: LiftedTorusMap, z, v) -> float:

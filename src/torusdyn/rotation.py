@@ -4,14 +4,9 @@ Estimates are inner approximations: convex hulls of finite-horizon means
 over a seed grid.  The limit structure is reported through a two-horizon
 Hausdorff gap diagnostic, never as a certificate.
 
-Orbits are iterated on (x mod 1, y), with the integer part of x carried
-in a separate offset.  Both admitted homotopy classes fix (a, 0), so
-f(z + (a, 0)) = f(z) + (a, 0): the reduction keeps every orbit a lift
-orbit, the sine never sees a large argument, and seeds that differ by
-(a, 0) follow bit-identical reduced orbits.  An orbit escapes when |y|
-passes ESCAPE_BOUND or the offset is no longer finite; the plane x,
-offset + x, is not bounded, since a Dehn twist shears it to order n^2 in
-n steps while the vertical means never read it.
+Orbits are iterated by `maps.iterate` on (x mod 1, y), one call per
+horizon, with the integer part of x carried in an offset, so seeds that
+differ by (a, 0) follow bit-identical reduced orbits.
 """
 
 from __future__ import annotations
@@ -21,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import convex_hull, hausdorff_gap, interior_margin
+from . import maps
 from .maps import LiftedTorusMap, OrbitEscapeError
 
 DEFAULT_HORIZONS = (1000, 10000)
-ESCAPE_BOUND = 1e9
 
 
 class WrongHomotopyClassError(ValueError):
@@ -72,9 +67,7 @@ def seed_grid(nx: int, ny: int) -> np.ndarray:
 
 def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
     """Birkhoff means of a batch at n1 and n2, continuing the n1 iterates on
-    to n2.  Each segment checks the escape bound on what is not reduced, y
-    and the carried offset of x, every 256 steps from its first step on, and
-    at its last step."""
+    to n2."""
     n1, n2 = horizons
     if not (0 < n1 < n2):
         raise ValueError("horizons must satisfy 0 < n1 < n2")
@@ -85,18 +78,12 @@ def _two_horizon_means(m: LiftedTorusMap, z, horizons: tuple):
     # x mod 1 is iterated; offset holds the integer parts taken off
     offset = np.floor(x)
     x -= offset
-    whole = np.empty_like(x)
     done, means = 0, []
     for n in horizons:
-        last = n - done - 1
-        for i in range(n - done):
-            m.step(x, y)
-            np.floor(x, out=whole)
-            x -= whole
-            offset += whole
-            if i % 256 == 0 or i == last:
-                if not (np.all(np.abs(y) <= ESCAPE_BOUND) and np.all(np.isfinite(offset))):
-                    raise OrbitEscapeError(done + i + 1)
+        try:
+            maps.iterate(m.step, x, y, n - done, offset)
+        except OrbitEscapeError as exc:
+            raise OrbitEscapeError(done + exc.steps) from None
         done = n
         means.append(np.stack([offset + x - z[:, 0], y - z[:, 1]], axis=-1) / n)
     return means

@@ -419,10 +419,11 @@ def test_exit_contract(tmp_path, capsys, text, code, message):
 
 @pytest.mark.parametrize(
     "command, code",
-    [("grow", 3), ("disks", 3), ("scan-translates", 3), ("find-periodic", 0), ("mixing", 0), ("check-all", 3)],
+    [("grow", 3), ("disks", 3), ("scan-translates", 3), ("find-periodic", 0), ("mixing", 3), ("check-all", 3)],
 )
 def test_overflow_warnings_stay_off_stderr(tmp_path, command, code):
-    # numpy warns of the overflow at k = 1e200; the exit code alone reports it
+    # numpy warns of the overflow at k = 1e200; the exit code alone reports it.
+    # mixing's first image already has |y| near 1e200, past the escape bound
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _ = _run(tmp_path, (HUGE_K_SEED if "grow" in COMMANDS[command] else HUGE_K) % command)
@@ -464,8 +465,9 @@ def test_numerical_abort_exits_3(tmp_path, grow):
 
 @pytest.mark.parametrize(
     "command, sizes",
-    # at k = 1e308 the second image of most points overflows; a one-step
-    # cloud stays finite, so the omega-probe case overflows in the probe
+    # at k = 1e308 the first image of every sample has |y| far past the
+    # escape bound, and step 1 is checked, so each command (omega-probe in
+    # its one-step cloud) stops there
     [
         pytest.param("confinement", "[confinement]\nhorizon = 5\n", id="confinement"),
         pytest.param("omega-probe", "[confinement]\nhorizon = 1\n[omega]\nextra = 5\n", id="omega-probe"),
@@ -479,7 +481,7 @@ def test_non_finite_image_exits_3(tmp_path, capsys, command, sizes):
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = _run(tmp_path, text % (command, sizes))
     assert code == 3
-    assert "numerical abort: non-finite image" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numerical abort: orbit escaped the coordinate bound after 1 steps\n"
     assert not (out / "manifest.json").exists()
 
 
@@ -832,20 +834,21 @@ def test_any_numerical_abort_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_check_all_reports_gated_abort_as_inconclusive(tmp_path, monkeypatch):
-    # with the gate open, 2000 steps of a translation by 1e308 overflow in
-    # the omega and mixing probes; the deck row fails, as z + v + a rounds
-    # to z + a at this size
+    # with the gate open, a translation by 1e308 overflows x at step 2; the
+    # escape schedule sees it at step 257 of the omega row's 300-step cloud
+    # and at the last of the mixing probe's 200 steps.  The deck row fails,
+    # as z + v + a rounds to z + a at this size
     monkeypatch.setattr(rotation, "estimate_rotation_set", _square_around_zero)
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = _run(tmp_path, "[map]\nmap = translation\na = 1e308\n[run]\ncommand = check-all\n")
     assert code == 1
     rows = {r["check"]: r for r in json.loads((out / "check_all.json").read_text())["rows"]}
     assert rows["deck-equivariance-and-area"]["status"] == "fail"
-    for name in ("omega-probe", "mixing-probe"):
+    for name, steps in (("omega-probe", 257), ("mixing-probe", 200)):
         assert rows[name] == {
             "check": name,
             "status": "inconclusive",
-            "detail": "non-finite image (parameter overflow?)",
+            "detail": "orbit escaped the coordinate bound after %d steps" % steps,
         }
 
 

@@ -17,7 +17,7 @@ from torusdyn.confinement import (
     compute_confinement,
     omega_probe,
 )
-from torusdyn.maps import LiftedTorusMap, area_residual, on_copies
+from torusdyn.maps import LiftedTorusMap, OrbitEscapeError, area_residual, on_copies
 
 SMALL = dict(window=((-1.0, 1.0), (-1.0, 1.0)), grid_step=1.0 / 16.0)
 
@@ -369,10 +369,33 @@ def test_omega_probe_matches_per_step_reference(mode, theta, k, epsilon):
 
 @pytest.mark.parametrize("mode, theta", [("south", None), ("theta", 0.3)])
 def test_omega_probe_non_finite_image_raises(std_k2, mode, theta):
+    # at k = 1e308 the first image already passes the escape bound
     cloud = compute_confinement(std_k2, mode, theta=theta, **DECK)
     assert len(cloud.candidate_unbounded_points()) > 0
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+    with np.errstate(all="ignore"), pytest.raises(
+        OrbitEscapeError, match="^orbit escaped the coordinate bound after 1 steps$"
+    ):
         omega_probe(cloud, td.make_standard_map(1e308), 50)
+
+
+@pytest.mark.parametrize("mode, theta", [("south", None), ("north", None), ("theta", 0.3)])
+def test_planted_nan_is_never_dropped_silently(std_k2, mode, theta):
+    # half the survivors turn NaN at step 3; a half-plane test that a NaN
+    # fails would drop them and return a cloud without them, while the
+    # negated predicates keep them to the escape check at the last step
+    calls = []
+
+    def planted(x, y):
+        std_k2.step(x, y)
+        calls.append(1)
+        if len(calls) == 3:
+            y[::2] = np.nan
+
+    m = dataclasses.replace(std_k2, forward=on_copies(planted))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        OrbitEscapeError, match="^orbit escaped the coordinate bound after 20 steps$"
+    ):
+        compute_confinement(m, mode, theta=theta, **dict(DECK, horizon=20))
 
 
 def test_omega_probe_k0_persistent():

@@ -11,6 +11,7 @@ import torusdyn as td
 from torusdyn import manifolds
 from torusdyn.geometry import CellIndex, point_segment_distance, row_dot
 from torusdyn.manifolds import CrossingWitness, GrowthError, NonHyperbolicError
+from torusdyn.maps import OrbitEscapeError
 from torusdyn.periodic import PeriodicPoint
 
 from conftest import growth_maps, inverted, make_linear_saddle, pullback_rate_fit
@@ -75,6 +76,23 @@ def test_grow_budget_too_small_errors():
     m, pp = _saddle_fixed_point()
     with pytest.raises(GrowthError):
         td.grow_manifold(m, pp, "unstable", "+", arclength_budget=1e-8)
+
+
+def test_grow_stops_on_a_non_finite_image(std_k2, fp_origin):
+    # an unstep that returns NaN from its fifth call on: a NaN arclength
+    # never reaches the budget, so only the escape check ends the growth
+    calls = []
+
+    def planted(x, y):
+        std_k2.unstep(x, y)
+        calls.append(1)
+        if len(calls) >= 5:
+            x[...] = np.nan
+
+    m = replace(std_k2, inverse=td.maps.on_copies(planted))
+    with np.errstate(invalid="ignore"), pytest.raises(OrbitEscapeError):
+        td.grow_manifold(m, fp_origin, "stable", "+", arclength_budget=20.0)
+    assert len(calls) == 5  # caught at the last step of the advance that made it
 
 
 def test_grow_input_validation(std_k2, fp_origin):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import torusdyn as td
 from torusdyn.maps import (
+    OrbitEscapeError,
     area_residual,
     require_finite,
     validate_homotopy,
@@ -358,3 +359,22 @@ def test_builtin_map_rules_match_closed_forms_bit_for_bit(name, z, p, q):
     m.unstep(sx, sy)
     assert sx.tobytes() == want_inv[..., 0].tobytes()
     assert sy.tobytes() == want_inv[..., 1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        pytest.param(lambda m: td.estimate_rotation_set(m, [(0.0, 0.0)], (300, 600)), id="rotation"),
+        pytest.param(lambda m: td.compute_confinement(m, "north", ((-1, 1), (-1, 1)), 0.25, 300), id="confinement"),
+        pytest.param(
+            lambda m: td.omega_probe(td.compute_confinement(m, "north", ((-1, 1), (-1, 1)), 0.25, 5), m, 300),
+            id="omega",
+        ),
+        pytest.param(lambda m: td.mixing_probe(m, ((0, 0), 0.5), ((0, 0), 0.5), n_max=300), id="mixing"),
+    ],
+)
+def test_one_escape_step_under_every_caller(probe):
+    # |y| passes the 1e9 bound at step 10; every orbit loop runs maps.iterate,
+    # whose first check after step 1 is at step 257
+    with pytest.raises(OrbitEscapeError, match="^orbit escaped the coordinate bound after 257 steps$"):
+        probe(td.make_translation_map(0.0, 1.1e8))
