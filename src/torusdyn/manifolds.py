@@ -12,20 +12,18 @@ through a rectangle side in both complementary components, so tangential
 touches never count.
 
 Crossing search runs a broad and a narrow phase per chunk of consecutive
-piece segments: all of them without a witness cap, else PIECE_CHUNK and
-then twice as many each time until the cap is met.  The broad phase pairs
-segments whose midpoints lie within half the sum of the two curves' longest
-segments, which every strictly crossing pair does.  It asks a
-`geometry.CellIndex` over the target's midpoints, built once per curve, for
-the pairs within that radius of the chunk's `midpoints - v` for a translate
-v, which must be integer-valued.  The narrow phase tests strict crossings
-over the chunk's candidate pairs at once, reading only the target rows it
-needs, plus v.  It then runs the rectangle walk on the true crossings as
-numpy arrays, in blocks taken in (piece segment, target segment) order, as
-the chunks are: one block without a witness cap, else blocks of
-max_witnesses, 2*max_witnesses, ... hits until the cap is met.  Each hit
-reads its local piece and its two target walks through windows of polyline
-rows, clipped at the polyline ends.  A window
+piece segments, PIECE_CHUNK and then twice as many each time, and stops
+after the chunk that meets the witness cap, if one is given.  The broad
+phase pairs segments whose midpoints lie within half the sum of the two
+curves' longest segments, which every strictly crossing pair does.  It asks
+a `geometry.CellIndex` over the target's midpoints, built once per curve,
+for the pairs within that radius of the chunk's `midpoints - v` for a
+translate v, which must be integer-valued.  The narrow phase tests strict
+crossings over the chunk's candidate pairs at once, reading only the target
+rows it needs, plus v.  It then runs the rectangle walk on all of the
+chunk's true crossings as numpy arrays, in (piece segment, target segment)
+order.  Each hit reads its local piece and its two target walks through
+windows of polyline rows, clipped at the polyline ends.  A window
 that leaves its part undecided is read again twice as wide, up to the
 polyline's length, for the hits it failed alone: pieces first, then each
 walk against its hit's whole piece, in chunks of bounded size.
@@ -42,7 +40,7 @@ import numpy as np
 
 from .geometry import CellIndex, row_dot
 from . import maps
-from .maps import LiftedTorusMap, NumericalAbort
+from .maps import LiftedTorusMap, NumericalAbort, OrbitEscapeError
 from .periodic import PeriodicPoint
 
 DEFAULT_H_MAX = 1e-3
@@ -78,12 +76,21 @@ class ManifoldCurve:
     growth_log: tuple    # (iteration levels, refinement insertions)
     h_max: float
 
+    # broad-phase data: the segment midpoints, the longest segment and a
+    # `CellIndex` of the midpoints with cells at least twice that, built on
+    # first use and kept for the life of the curve (the vertices are never
+    # modified in place)
     @cached_property
-    def segment_index(self) -> "_SegmentIndex":
-        """Broad-phase index over the segment midpoints, built on first use
-        and kept for the life of the curve (the vertices are never
-        modified in place)."""
-        return _SegmentIndex(self.vertices)
+    def midpoints(self) -> np.ndarray:
+        return 0.5 * (self.vertices[:-1] + self.vertices[1:])
+
+    @cached_property
+    def max_len(self) -> float:
+        return float(np.max(_segment_lengths(self.vertices[:, 0], self.vertices[:, 1])))
+
+    @cached_property
+    def cells(self) -> CellIndex:
+        return CellIndex(self.midpoints, 2.0 * self.max_len)
 
 
 def _segment_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -93,19 +100,6 @@ def _segment_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dx = np.diff(x)
     dy = np.diff(y)
     return np.sqrt(dx * dx + dy * dy)
-
-
-class _SegmentIndex:
-    """Segment midpoints of one polyline, their longest segment length and, on
-    first use, a `CellIndex` of the midpoints with cells at least twice that."""
-
-    def __init__(self, vertices: np.ndarray):
-        self.midpoints = 0.5 * (vertices[:-1] + vertices[1:])
-        self.max_len = float(np.max(_segment_lengths(vertices[:, 0], vertices[:, 1])))
-
-    @cached_property
-    def cells(self) -> CellIndex:
-        return CellIndex(self.midpoints, 2.0 * self.max_len)
 
 
 def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable") -> ManifoldCurve:
@@ -190,7 +184,8 @@ def grow_manifold(
 
     The points are split x and y arrays advanced in place by `maps.iterate`,
     so an orbit escape, a NaN included, raises OrbitEscapeError instead of
-    leaving the arclength short of the budget for ever.
+    leaving the arclength short of the budget for ever; it names the map
+    steps from the seed segment to the check that caught it.
     """
     if kind not in ("unstable", "stable"):
         raise ValueError("kind must be 'unstable' or 'stable'")
@@ -280,9 +275,13 @@ def grow_manifold(
         ys.append(y[1:])
         n_vertices += len(x) - 1
         arclength = float(cum[-1])
-        level += 1
         x, y = x.copy(), y.copy()
-        advance(x, y, 1)
+        try:
+            advance(x, y, 1)
+        except OrbitEscapeError as exc:
+            # count from the seed segment, as the refinement passes do
+            raise OrbitEscapeError(level * q + exc.steps) from None
+        level += 1
     return ManifoldCurve(
         owner=pp,
         kind=kind,
@@ -310,8 +309,7 @@ def _segment_pairs(piece: ManifoldCurve, target: ManifoldCurve, v: np.ndarray, l
     """Candidate (i, j) segment index pairs, piece segments i in [lo, hi), of
     piece and target + v whose midpoints are within half the sum of the
     longest segments of each, as int arrays in lexicographic order."""
-    own, index = piece.segment_index, target.segment_index
-    i, j = index.cells.pairs(own.midpoints[lo:hi] - v, 0.5 * (own.max_len + index.max_len) + 1e-12)
+    i, j = target.cells.pairs(piece.midpoints[lo:hi] - v, 0.5 * (piece.max_len + target.max_len) + 1e-12)
     return i + lo, j
 
 
@@ -426,7 +424,7 @@ def _walk(T, v, start, step, x0, tang, segments, half, w):
 
 
 def _validate(P, T, v, i, j, x0, ell, w):
-    """Rectangle walks of a block of strict crossings: the forward and
+    """Rectangle walks of a chunk's strict crossings: the forward and
     backward side signs and end exits per hit, each walk against its hit's
     whole local piece."""
     d = P[i + 1] - P[i]
@@ -440,7 +438,7 @@ def _validate(P, T, v, i, j, x0, ell, w):
 
 
 def _witnesses(P, T, v, i, j, x0, h, label) -> list:
-    """The witnesses among a block of strict crossings, in block order."""
+    """The witnesses among a chunk's strict crossings, in their order."""
     ell = 10.0 * h
     w = 2.0 * h
     tang, (fwd, bwd), (fwd_end, bwd_end) = _validate(P, T, v, i, j, x0, ell, w)
@@ -480,19 +478,16 @@ def detect_crossings(
     The translate must be integer-valued (it labels the witnesses), and
     max_witnesses, when given, positive.
 
-    The broad phase queries target's cached segment index (see
-    `ManifoldCurve.segment_index`) at the piece's midpoints minus the
-    translate, so repeated calls on one target build it once: all piece
-    segments at once without max_witnesses, else chunks of PIECE_CHUNK,
-    2*PIECE_CHUNK, ... consecutive ones while fewer are found.  The narrow
-    phase keeps each chunk's strictly crossing candidate pairs and validates
-    them as arrays, in blocks taken in lexicographic (piece segment, target
-    segment) order: all at once without max_witnesses, else a first block of
-    max_witnesses hits and each later one twice as large, stopping once
-    max_witnesses are found.  Each hit's local piece and target walks are
-    read through windows of piece and target rows, each grown by doubling
-    for the hits it leaves undecided; piece arc lengths are
-    sqrt(row_dot(d, d)), the bits of `np.linalg.norm` on each segment.
+    The broad phase queries target's cached `ManifoldCurve.cells` at the
+    piece's midpoints minus the translate, so repeated calls on one target
+    build it once, in chunks of PIECE_CHUNK, 2*PIECE_CHUNK, ... consecutive
+    piece segments.  The narrow phase keeps each chunk's strictly crossing
+    candidate pairs and validates them all as arrays, in lexicographic
+    (piece segment, target segment) order; the search stops after the chunk
+    that brings the witnesses to max_witnesses.  Each hit's local piece and
+    target walks are read through windows of piece and target rows, each
+    grown by doubling for the hits it leaves undecided; piece arc lengths
+    are sqrt(row_dot(d, d)), the bits of `np.linalg.norm` on each segment.
     """
     P, T = piece.vertices, target.vertices
     v = np.asarray(translate, dtype=float)
@@ -503,16 +498,11 @@ def detect_crossings(
     if len(P) < 2 or len(T) < 2:
         raise ValueError("both curves need at least two vertices")
     label = (int(v[0]), int(v[1]))
-    limit = float("inf") if max_witnesses is None else max_witnesses
     witnesses = []
-    lo, rows = 0, len(P) - 1 if max_witnesses is None else PIECE_CHUNK
-    while lo < len(P) - 1 and len(witnesses) < limit:
-        i_hit, j_hit, x_hit = _strict_crossings(P, T, v, *_segment_pairs(piece, target, v, lo, lo + rows))
-        at, size = 0, max_witnesses or len(i_hit)
-        while at < len(i_hit) and len(witnesses) < limit:
-            k = slice(at, at + size)
-            witnesses += _witnesses(P, T, v, i_hit[k], j_hit[k], x_hit[k], piece.h_max, label)
-            at, size = at + size, 2 * size
+    lo, rows = 0, PIECE_CHUNK
+    while lo < len(P) - 1 and (max_witnesses is None or len(witnesses) < max_witnesses):
+        i, j, x0 = _strict_crossings(P, T, v, *_segment_pairs(piece, target, v, lo, lo + rows))
+        witnesses += _witnesses(P, T, v, i, j, x0, piece.h_max, label)
         lo, rows = lo + rows, 2 * rows
     return witnesses[:max_witnesses]
 
@@ -528,9 +518,10 @@ def translate_scan(
     Maps (a, b) to a witness list; an empty list means "not found at the
     current budget", which is distinct from absence.  One
     `detect_crossings` call per translate; all of them share the stable
-    curve's segment index, so the broad phase builds it once per scan, and
-    queries unstable segments only up to the max_witnesses-th witness.  A
-    negative half_range raises ValueError rather than scan an empty box.
+    curve's cell index, so the broad phase builds it once per scan, and
+    queries unstable segments only up to the chunk of the max_witnesses-th
+    witness.  A negative half_range raises ValueError rather than scan an
+    empty box.
     """
     if half_range < 0:
         raise ValueError("half_range must be nonnegative, got %r" % (half_range,))

@@ -11,25 +11,17 @@ from pathlib import Path
 import numpy as np
 
 
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def json_default(obj):
+    """numpy arrays and scalars as Python values, for `json.dump`'s `default`
+    (np.float64, a float, never reaches it)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=json_default)
         fh.write("\n")
 
 

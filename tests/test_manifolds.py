@@ -79,20 +79,25 @@ def test_grow_budget_too_small_errors():
 
 
 def test_grow_stops_on_a_non_finite_image(std_k2, fp_origin):
-    # an unstep that returns NaN from its fifth call on: a NaN arclength
-    # never reaches the budget, so only the escape check ends the growth
-    calls = []
+    # an unstep that returns NaN from a given call on: a NaN arclength never
+    # reaches the budget, so only the escape check ends the growth.  Each
+    # call is one map step.  The fifth is the second step of a pass refining
+    # level 2 from the seed segment, the eighth carries level 2 to level 3
+    # and the ninth is the first step of a pass refining level 3; every
+    # escape counts the steps from the seed segment
+    for nan_from, steps in ((5, 2), (8, 3), (9, 1)):
+        calls = []
 
-    def planted(x, y):
-        std_k2.unstep(x, y)
-        calls.append(1)
-        if len(calls) >= 5:
-            x[...] = np.nan
+        def planted(x, y):
+            std_k2.unstep(x, y)
+            calls.append(1)
+            if len(calls) >= nan_from:
+                x[...] = np.nan
 
-    m = replace(std_k2, inverse=td.maps.on_copies(planted))
-    with np.errstate(invalid="ignore"), pytest.raises(OrbitEscapeError):
-        td.grow_manifold(m, fp_origin, "stable", "+", arclength_budget=20.0)
-    assert len(calls) == 5  # caught at the last step of the advance that made it
+        m = replace(std_k2, inverse=td.maps.on_copies(planted))
+        with np.errstate(invalid="ignore"), pytest.raises(OrbitEscapeError, match="after %d steps$" % steps):
+            td.grow_manifold(m, fp_origin, "stable", "+", arclength_budget=20.0)
+        assert len(calls) == nan_from  # caught at the last step of the advance that made it
 
 
 def test_grow_input_validation(std_k2, fp_origin):
@@ -493,9 +498,8 @@ def test_long_piece_segments_scan_several_cells():
     piece = td.polyline_curve([[-1.0, -0.3], [0.05, 0.35], [1.0, -0.25]], 1e-3)
     xs = np.linspace(-1.0, 1.0, 2000)
     target = td.polyline_curve(np.stack([xs, 0.2 * np.sin(7.0 * xs)], axis=-1), 1e-3)
-    index = target.segment_index
-    r = 0.5 * (piece.segment_index.max_len + index.max_len)
-    assert r > 2.0 * index.cells.cell
+    r = 0.5 * (piece.max_len + target.max_len)
+    assert r > 2.0 * target.cells.cell
     i, j = manifolds._segment_pairs(piece, target, np.zeros(2))
     assert list(zip(i.tolist(), j.tolist())) == _ref_segment_pairs(piece.vertices, target.vertices)
     for v in [(0, 0), (0, 1), (1, 0)]:
@@ -516,14 +520,14 @@ def test_far_translate_gives_no_candidates():
 def test_two_vertex_target():
     piece = _segment((-1, 0), (1, 0))
     target = td.polyline_curve([[0.25, -1.0], [0.25, 1.0]])
-    assert len(target.segment_index.midpoints) == 1
+    assert len(target.midpoints) == 1
     for v in [(0, 0), (-1, 0), (1, 1)]:
         got = td.detect_crossings(piece, target, v)
         _assert_same_witnesses(got, _ref_detect_crossings(piece, target, v))
     (wit,) = td.detect_crossings(piece, target)
     assert np.allclose(wit.location, [0.25, 0.0])
     point = td.polyline_curve([[0.25, 0.0], [0.25, 0.0]])  # zero extent and length
-    assert point.segment_index.cells.cell > 0
+    assert point.cells.cell > 0
     assert td.detect_crossings(piece, point) == []
 
 
@@ -686,7 +690,9 @@ def test_scan_queries_only_the_rows_it_needs(monkeypatch, k2_pair):
     assert len(rows) >= 9 and sum(rows) < 9 * n
     rows.clear()
     td.detect_crossings(wu, ws, (1, 0))
-    assert rows == [n]  # without max_witnesses: every row in one query
+    # without max_witnesses the same chunks run on to the last row
+    assert rows[:-1] == [manifolds.PIECE_CHUNK << k for k in range(len(rows) - 1)]
+    assert 0 < rows[-1] <= manifolds.PIECE_CHUNK << (len(rows) - 1) and sum(rows) == n
 
 
 def test_detect_crossings_rejects_a_fractional_translate():
@@ -720,14 +726,15 @@ def test_segment_index_built_once_per_curve(monkeypatch):
     monkeypatch.setattr(manifolds, "CellIndex", counting_index)
     u = _segment((-0.5, 0), (0.5, 0))
     s = _segment((0, -0.5), (0, 0.5), n=40)
-    index = s.segment_index
+    index = s.cells
     td.translate_scan(u, s, half_range=1, max_witnesses=None)
     td.translate_scan(u, s, half_range=1, max_witnesses=None)
-    assert s.segment_index is index
+    assert s.cells is index
     assert built == [39]  # one index for the target; the piece needs none
     moved = _translated(s, (1, 0))
-    assert moved.segment_index is not index
-    assert np.array_equal(moved.segment_index.midpoints, 0.5 * (moved.vertices[:-1] + moved.vertices[1:]))
+    assert moved.cells is not index
+    assert np.array_equal(moved.midpoints, 0.5 * (moved.vertices[:-1] + moved.vertices[1:]))
+    assert moved.max_len == s.max_len
     assert len(td.detect_crossings(u, moved, (-1, 0))) == 1
     assert built == [39, 39]
 

@@ -1,6 +1,8 @@
+import ast
 import functools
 import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +380,19 @@ def test_one_escape_step_under_every_caller(probe):
     # whose first check after step 1 is at step 257
     with pytest.raises(OrbitEscapeError, match="^orbit escaped the coordinate bound after 257 steps$"):
         probe(td.make_translation_map(0.0, 1.1e8))
+
+
+def test_only_the_driver_steps_a_map():
+    # every orbit loop passes a map's step or unstep to maps.iterate; a call
+    # such as m.step(x, y) anywhere in the package or its scripts is a second
+    # loop, with its own escape policy or none
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*(root / "src" / "torusdyn").rglob("*.py"), *(root / "scripts").rglob("*.py")])
+    assert len(paths) > 10
+    calls = [
+        "%s:%d" % (path.relative_to(root), node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("step", "unstep")
+    ]
+    assert calls == []
