@@ -3,8 +3,9 @@
 Every run writes its outputs plus a manifest.json that echoes the keys it
 reads ([run], the sections `config.COMMANDS[command]` and the keys their
 `config.CHOSEN` choosers pick), check-all's `CHECK_FIXED` budgets, and
-hashes each produced file.  The runner of command `a-b` is `run_a_b(run,
-outdir)`, where `run` is the `Run` that builds each artifact once.
+hashes each file this run wrote.  The runner of command `a-b` is
+`run_a_b(run, outdir)`, where `run` is the `Run` that builds each artifact
+once and `outdir` the `report.OutputDir` that names each file it writes.
 
 Exit codes: 0 pass; 1 a check failed; 2 usage or config error (bad config
 values and unread keys carry their line number; a missing command, map or
@@ -41,7 +42,7 @@ from . import manifolds as mfd
 from . import maps, periodic, rotation, sft
 from .config import COMMANDS, ConfigError, RunConfig, _nonnegative_int, build_map, parse_config
 from .geometry import column_bounds
-from .report import child_rng, write_csv, write_json, write_manifest
+from .report import OutputDir, child_rng, write_csv, write_json, write_manifest
 from .svg import SvgCanvas, widen_range
 
 EXIT_PASS = 0
@@ -144,10 +145,11 @@ def _hull_svg(path, means, hull):
     c.save(path)
 
 
-def run_rotset(run: Run, outdir: Path) -> int:
+def run_rotset(run: Run, outdir: OutputDir) -> int:
     g = run.cfg.get("rotset", "grid")
     n1, n2 = run.cfg.get("rotset", "n1"), run.cfg.get("rotset", "n2")
-    poly = rotation.estimate_rotation_set(run.m, rotation.seed_grid(g, g), (n1, n2))
+    seeds = rotation.seed_grid(g, g)
+    poly = rotation.estimate_rotation_set(run.m, seeds, (n1, n2))
     write_json(
         outdir / "rotset.json",
         {
@@ -161,20 +163,17 @@ def run_rotset(run: Run, outdir: Path) -> int:
     write_csv(
         outdir / "rotset.csv",
         ["seed_x", "seed_y", "mean_x", "mean_y", "horizon"],
-        [
-            (float(s[0]), float(s[1]), float(v[0]), float(v[1]), h)
-            for s, v, h in poly.sample_means
-        ],
+        [s + v + [n2] for s, v in zip(seeds.tolist(), poly.sample_means.tolist())],
     )
-    means = np.asarray([v for _, v, _ in poly.sample_means])
-    _hull_svg(outdir / "rotset.svg", means, poly.hull)
+    _hull_svg(outdir / "rotset.svg", poly.sample_means, poly.hull)
     return EXIT_PASS
 
 
-def run_vrotset(run: Run, outdir: Path) -> int:
+def run_vrotset(run: Run, outdir: OutputDir) -> int:
     g = run.cfg.get("vrotset", "grid")
     n1, n2 = run.cfg.get("vrotset", "n1"), run.cfg.get("vrotset", "n2")
-    iv = rotation.estimate_vertical_rotation_set(run.m, rotation.seed_grid(g, g), (n1, n2))
+    seeds = rotation.seed_grid(g, g)
+    iv = rotation.estimate_vertical_rotation_set(run.m, seeds, (n1, n2))
     write_json(
         outdir / "vrotset.json",
         {
@@ -190,7 +189,7 @@ def run_vrotset(run: Run, outdir: Path) -> int:
     write_csv(
         outdir / "vrotset.csv",
         ["seed_x", "seed_y", "vertical_mean", "horizon"],
-        [(float(s[0]), float(s[1]), float(v), h) for s, v, h in iv.sample_means],
+        [s + [v, n2] for s, v in zip(seeds.tolist(), iv.sample_means.tolist())],
     )
     return EXIT_PASS
 
@@ -206,7 +205,7 @@ def _orbit_record(pp: periodic.PeriodicPoint) -> dict:
     }
 
 
-def run_find_periodic(run: Run, outdir: Path) -> int:
+def run_find_periodic(run: Run, outdir: OutputDir) -> int:
     q = run.cfg.get("periodic", "q")
     pr = (run.cfg.get("periodic", "p"), run.cfg.get("periodic", "r"))
     write_json(
@@ -227,7 +226,7 @@ def _tangle_svg(path, wu, ws, witnesses=()):
     c.save(path)
 
 
-def run_grow(run: Run, outdir: Path) -> int:
+def run_grow(run: Run, outdir: OutputDir) -> int:
     wu, ws = run.unstable, run.stable
     for curve, tag in ((wu, "unstable"), (ws, "stable")):
         write_csv(
@@ -247,7 +246,7 @@ def run_grow(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_scan_translates(run: Run, outdir: Path) -> int:
+def run_scan_translates(run: Run, outdir: OutputDir) -> int:
     rows = {}
     found = []
     for (a, b), wits in sorted(run.scan.items()):
@@ -262,7 +261,7 @@ def run_scan_translates(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_confinement(run: Run, outdir: Path) -> int:
+def run_confinement(run: Run, outdir: OutputDir) -> int:
     cloud = run.cloud
     write_json(
         outdir / "confinement.json",
@@ -272,9 +271,7 @@ def run_confinement(run: Run, outdir: Path) -> int:
             "horizon": cloud.horizon,
             "survivors": len(cloud.points),
             "components": cloud.n_components,
-            "candidate_unbounded": sorted(
-                int(c) for c, f in cloud.unbounded_flags.items() if f
-            ),
+            "candidate_unbounded": np.flatnonzero(cloud.unbounded),
         },
     )
     (x0, x1), (y0, y1) = cloud.window
@@ -286,7 +283,7 @@ def run_confinement(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_omega_probe(run: Run, outdir: Path) -> int:
+def run_omega_probe(run: Run, outdir: OutputDir) -> int:
     verdict, drifts = conf.omega_probe(run.cloud, run.m, run.cfg.get("omega", "extra"))
     # no sample survived: null range, empty histogram
     lo = hi = None
@@ -308,7 +305,7 @@ def run_omega_probe(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_disks(run: Run, outdir: Path) -> int:
+def run_disks(run: Run, outdir: OutputDir) -> int:
     r = run.cfg.get("disks", "region")
     report = conf.complement_disk_stats(
         run.unstable.vertices, ((0.0, r), (0.0, r)), run.cfg.get("disks", "step")
@@ -325,14 +322,14 @@ def run_disks(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_mixing(run: Run, outdir: Path) -> int:
+def run_mixing(run: Run, outdir: OutputDir) -> int:
     hits, n0 = run.mixing
     write_csv(outdir / "mixing.csv", ["n", "hit"], [(n, int(hits[n])) for n in range(1, len(hits))])
     write_json(outdir / "mixing.json", {"n_max": len(hits) - 1, "tail_start": n0, "hits_total": int(hits.sum())})
     return EXIT_PASS
 
 
-def run_sft_hull(run: Run, outdir: Path) -> int:
+def run_sft_hull(run: Run, outdir: OutputDir) -> int:
     s = run.sft
     try:
         hull = sft.cycle_rotation_hull(s, run.cfg.get("sft", "cycle_cap"))
@@ -345,7 +342,7 @@ def run_sft_hull(run: Run, outdir: Path) -> int:
     return EXIT_PASS
 
 
-def run_sft_orbit(run: Run, outdir: Path) -> int:
+def run_sft_orbit(run: Run, outdir: OutputDir) -> int:
     s = run.sft
     kv = run.cfg.values["sft"]
     try:
@@ -451,7 +448,7 @@ GATED_CHECKS = (
 )
 
 
-def run_check_all(run: Run, outdir: Path) -> int:
+def run_check_all(run: Run, outdir: OutputDir) -> int:
     """End-to-end verification pipeline with one pass/fail/inconclusive row
     per structural check; the GATED_CHECKS report 'hypothesis not met,
     skipped' unless 0 is interior to the rotation estimate, and
@@ -501,9 +498,9 @@ def main(argv=None) -> int:
         cfg.values["run"]["rng_seed"] = args.seed
     if args.out is not None:
         cfg.values["run"]["out"] = None  # not read, so not echoed
-    outdir = args.out or Path(cfg.out_dir or "out")
+    out = OutputDir(args.out or cfg.out_dir or "out")
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        out.path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print("config error: cannot create output directory: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -511,7 +508,7 @@ def main(argv=None) -> int:
     try:
         # every numerical failure raises a NumericalAbort; numpy's warnings only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            status = RUNNERS[cfg.command](Run(cfg), outdir)
+            status = RUNNERS[cfg.command](Run(cfg), out)
     except (ConfigError, rotation.WrongHomotopyClassError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -521,7 +518,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("numerical abort: out of memory: %s" % (str(exc) or "allocation failed"), file=sys.stderr)
         return EXIT_NUMERIC
-    write_manifest(outdir, cfg.resolved(), cfg.warnings, CHECK_FIXED if cfg.command == "check-all" else None)
+    write_manifest(out, cfg.resolved(), cfg.warnings, CHECK_FIXED if cfg.command == "check-all" else None)
     return status
 
 

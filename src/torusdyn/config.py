@@ -109,11 +109,12 @@ _ROTATION_KEYS = {
 SCHEMA = {
     "map": {
         "map": (_choice(tuple(BUILTIN_MAPS)), REQUIRED),
-        "k": (_finite_float, 2.0),
-        "epsilon": (_finite_float, 0.0),
-        "a": (_finite_float, 0.0),
-        "b": (_finite_float, 0.0),
-        "d": (_finite_float, 0.5),
+        # each map's parameters, with the defaults its BUILTIN_MAPS factory declares
+        **{
+            k: (_finite_float, p.default)
+            for f in BUILTIN_MAPS.values()
+            for k, p in inspect.signature(f).parameters.items()
+        },
     },
     "run": {
         "command": (_choice(COMMANDS), REQUIRED),

@@ -43,16 +43,12 @@ class ConfinementCloud:
     grid_step: float
     points: np.ndarray     # surviving grid points, (n, 2)
     labels: np.ndarray     # component id per point, same length
-    unbounded_flags: dict  # component id -> touches window boundary
+    unbounded: np.ndarray  # bool per component id 0..n: touches the window boundary (0: False)
     grid_shape: tuple
 
     @property
     def n_components(self) -> int:
-        return len(self.unbounded_flags)
-
-    def candidate_unbounded_points(self) -> np.ndarray:
-        keep = np.array([self.unbounded_flags[c] for c in self.labels])
-        return self.points[keep] if len(self.points) else self.points
+        return len(self.unbounded) - 1
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,12 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _boundary_flags(lab: np.ndarray, n: int) -> np.ndarray:
     """One scan of the edge rows and columns of a `_label` array:
-    entry cid is True when component cid has a cell on the grid boundary."""
+    entry cid is True when component cid has a cell on the grid boundary;
+    entry 0, the cells off the mask, is False."""
     on_boundary = np.zeros(n + 1, dtype=bool)
     on_boundary[lab[[0, -1], :]] = True
     on_boundary[lab[:, [0, -1]]] = True
+    on_boundary[0] = False
     return on_boundary
 
 
@@ -196,7 +194,6 @@ def compute_confinement(
     rep_mask.flat[flat] = True
     mask = rep_mask[col]
     lab, n = _label(mask)
-    on_boundary = _boundary_flags(lab, n)
     rows, cols = np.nonzero(mask)
     return ConfinementCloud(
         mode=mode,
@@ -206,7 +203,7 @@ def compute_confinement(
         grid_step=grid_step,
         points=np.stack([xs[rows], ys[cols]], axis=-1),
         labels=lab[mask],
-        unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
+        unbounded=_boundary_flags(lab, n),
         grid_shape=mask.shape,
     )
 
@@ -225,7 +222,7 @@ def omega_probe(
     with no candidate points, or none that stays in the half plane, gives
     no drifts and "escaping".  An orbit escape raises OrbitEscapeError.
     """
-    pts = cloud.candidate_unbounded_points()
+    pts = cloud.points[cloud.unbounded[cloud.labels]]
     if len(pts) > MAX_OMEGA_SAMPLES:
         stride = int(np.ceil(len(pts) / MAX_OMEGA_SAMPLES))
         pts = pts[::stride]

@@ -230,14 +230,14 @@ def make_drift_shear(d: float) -> LiftedTorusMap:
     )
 
 
-# Config `map` name -> factory; its parameter names are the map's [map] keys.
-# The lambdas look the factories up by module name at call time, so a
-# factory replaced on this module (e.g. by a tracer) is the one called.
+# Config `map` name -> factory; its parameters, with their defaults, are the
+# map's [map] keys.  The lambdas look the factories up by module name at call
+# time, so a factory replaced on this module (e.g. by a tracer) is called.
 BUILTIN_MAPS = {
-    "standard": lambda k, epsilon: make_standard_map(k, epsilon),
-    "translation": lambda a, b: make_translation_map(a, b),
+    "standard": lambda k=2.0, epsilon=0.0: make_standard_map(k, epsilon),
+    "translation": lambda a=0.0, b=0.0: make_translation_map(a, b),
     "identity": lambda: make_identity_map(),
-    "drift_shear": lambda d: make_drift_shear(d),
+    "drift_shear": lambda d=0.5: make_drift_shear(d),
 }
 
 

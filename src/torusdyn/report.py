@@ -1,4 +1,5 @@
-"""Deterministic output helpers: JSON/CSV writers, hashing, seeded RNG."""
+"""Deterministic output helpers: JSON/CSV writers, the output directory and
+its manifest, seeded RNG."""
 
 from __future__ import annotations
 
@@ -46,17 +47,26 @@ def child_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(name.encode())]))
 
 
-def write_manifest(outdir, config_echo, warnings, fixed=None) -> Path:
-    """List every produced file with a content hash, and `fixed` if given; written last."""
-    outdir = Path(outdir)
-    outputs = {}
-    for p in sorted(outdir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        outputs[p.name] = sha256_file(p)
+class OutputDir:
+    """A run's output directory: `out / name` is the path of a file the run
+    writes, and its name is kept for the manifest."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.names = set()
+
+    def __truediv__(self, name) -> Path:
+        self.names.add(name)
+        return self.path / name
+
+
+def write_manifest(out: OutputDir, config_echo, warnings, fixed=None) -> Path:
+    """List each file the run wrote, the names `out` handed out, with a
+    content hash, and `fixed` if given; written last."""
+    outputs = {name: sha256_file(out.path / name) for name in sorted(out.names)}
     manifest = {"config": config_echo, "warnings": warnings, "outputs": outputs}
     if fixed is not None:
         manifest["fixed"] = fixed
-    path = outdir / "manifest.json"
+    path = out.path / "manifest.json"
     write_json(path, manifest)
     return path

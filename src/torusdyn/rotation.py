@@ -32,7 +32,7 @@ class RotationPolygon:
 
     hull: np.ndarray              # vertices at the larger horizon, CCW
     hull_coarse: np.ndarray       # vertices at the smaller horizon
-    sample_means: list            # (seed, mean at n2, n2) per seed
+    sample_means: np.ndarray      # (n, 2) means at n2, in seed order
     horizons: tuple
     hausdorff_gap: float
 
@@ -49,7 +49,7 @@ class RotationInterval:
     hi: float
     lo_coarse: float
     hi_coarse: float
-    sample_means: list
+    sample_means: np.ndarray      # (n,) vertical means at n2, in seed order
     horizons: tuple
     hausdorff_gap: float
 
@@ -99,14 +99,13 @@ def estimate_rotation_set(
         raise WrongHomotopyClassError("rotation set needs an identity-class lift")
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     means1, means2 = _two_horizon_means(m, seeds, horizons)
-    n1, n2 = horizons
     hull1 = convex_hull(means1)
     hull2 = convex_hull(means2)
     return RotationPolygon(
         hull=hull2,
         hull_coarse=hull1,
-        sample_means=[(seeds[i], means2[i], n2) for i in range(len(seeds))],
-        horizons=(n1, n2),
+        sample_means=means2,
+        horizons=tuple(horizons),
         hausdorff_gap=hausdorff_gap(hull1, hull2),
     )
 
@@ -121,7 +120,6 @@ def estimate_vertical_rotation_set(
         raise WrongHomotopyClassError("vertical rotation set needs a Dehn-class lift")
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     means1, means2 = _two_horizon_means(m, seeds, horizons)
-    n1, n2 = horizons
     v1, v2 = means1[:, 1], means2[:, 1]
     lo1, hi1 = float(v1.min()), float(v1.max())
     lo2, hi2 = float(v2.min()), float(v2.max())
@@ -131,7 +129,7 @@ def estimate_vertical_rotation_set(
         hi=hi2,
         lo_coarse=lo1,
         hi_coarse=hi1,
-        sample_means=[(seeds[i], v2[i], n2) for i in range(len(seeds))],
-        horizons=(n1, n2),
+        sample_means=v2,
+        horizons=tuple(horizons),
         hausdorff_gap=gap,
     )

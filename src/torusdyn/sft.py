@@ -90,14 +90,17 @@ def parse_sft(text: str) -> WeightedSft:
         raise ValueError("first line must be 'vertices N'")
     ln = lines[0]  # the line being parsed, named by the error
     try:
-        n = int(ln.split()[1])
+        word, n = ln.split()
+        if word != "vertices":
+            raise ValueError
+        n = int(n)
         rows = []
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 4:
                 raise ValueError
             rows.append((int(parts[0]), int(parts[1]), Fraction(parts[2]), Fraction(parts[3])))
-    except (IndexError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ValueError("malformed line %r: want 'vertices N', then 'i j wx wy'" % ln) from None
     return make_sft(n, rows)
 
@@ -109,12 +112,21 @@ def cycle_vertices(sft: WeightedSft, cycle: tuple) -> tuple:
 def simple_cycles(sft: WeightedSft, cap: int = DEFAULT_CYCLE_CAP) -> list:
     """Simple cycles as edge-index tuples, rooted at each cycle's least
     vertex, in deterministic lexicographic order.  Only vertices with an
-    out-edge are visited, so the cost does not grow with the vertex count."""
+    out-edge are visited, so the cost does not grow with the vertex count,
+    and a path is only extended to vertices that reach the root through
+    vertices above it, found by one reverse search per root."""
     cycles = []
-    out = {}
-    for e, (i, _, _) in enumerate(sft.edges):
+    out, into = {}, {}
+    for e, (i, j, _) in enumerate(sft.edges):
         out.setdefault(i, []).append(e)
+        into.setdefault(j, []).append(i)
     for root in sorted(out):
+        back, todo = set(), [root]
+        while todo:
+            for u in into.get(todo.pop(), ()):
+                if u > root and u not in back:
+                    back.add(u)
+                    todo.append(u)
         stack = [(root, (), (root,))]
         while stack:
             v, path, seen = stack.pop()
@@ -124,7 +136,7 @@ def simple_cycles(sft: WeightedSft, cap: int = DEFAULT_CYCLE_CAP) -> list:
                     cycles.append(path + (e,))
                     if len(cycles) > cap:
                         raise CycleCapExceeded("simple-cycle cap exceeded; hull is partial")
-                elif w > root and w not in seen:
+                elif w in back and w not in seen:
                     stack.append((w, path + (e,), seen + (w,)))
     cycles.sort(key=lambda c: (len(c), c))
     return cycles

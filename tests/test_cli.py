@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -119,6 +120,18 @@ def test_readme_map_table_matches_registry():
     rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|$", readme, re.M)
     table = {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows if name != "map"}
     assert table == MAP_KEYS
+
+
+def test_map_defaults_are_declared_once_by_the_registry():
+    # every factory parameter has a default, and a key two maps share has
+    # one, so [map] takes each key's default from the registry
+    defaults = {}
+    for name, factory in maps.BUILTIN_MAPS.items():
+        for key, p in inspect.signature(factory).parameters.items():
+            assert p.default is not inspect.Parameter.empty, (name, key)
+            defaults.setdefault(key, set()).add(p.default)
+    assert all(len(d) == 1 for d in defaults.values())
+    assert {k: d for k, (_, d) in SCHEMA["map"].items() if k != "map"} == {k: d.pop() for k, d in defaults.items()}
 
 
 def _run(tmp_path, text, name="run.cfg", args=()):
@@ -321,12 +334,27 @@ def test_manifest_echoes_exactly_the_keys_the_run_reads(tmp_path, monkeypatch, c
     body = SMALL_RUNS[command].format(mode=mode, graph=graph)
     code, out = _run(tmp_path, "[run]\ncommand = %s\n%s" % (command, body))
     assert code == 0
-    echo = json.loads((out / "manifest.json").read_text())["config"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    # into an empty directory, every file there is one the run wrote
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    echo = manifest["config"]
     # [run] is echoed whole: rng_seed stays settable because --seed is taken
     # by every command, though only find-periodic and check-all draw from it
     assert {sec: set(kv) for sec, kv in echo.items() if sec != "run"} == {
         sec: keys for sec, keys in looked_up.items() if sec != "run"
     }
+
+
+def test_manifest_lists_only_the_files_of_its_run(tmp_path):
+    # vrotset, then omega-probe, into one directory: the second manifest
+    # names omega.json alone, not the vrotset files left beside it
+    out = tmp_path / "out"
+    for command in ("vrotset", "omega-probe"):
+        cfg = tmp_path / (command + ".cfg")
+        cfg.write_text("[run]\ncommand = %s\n%s" % (command, SMALL_RUNS[command].format(mode="south")))
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == ["omega.json"]
+    assert {"vrotset.csv", "vrotset.json"} <= {p.name for p in out.iterdir()}
 
 
 def test_every_schema_key_is_read_by_some_choice():
@@ -948,7 +976,7 @@ def _square_around_zero(m, seeds, horizons):
     # a square rotation set around 0 opens the interiority gate
     hull = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     return rotation.RotationPolygon(
-        hull=hull, hull_coarse=hull, sample_means=[], horizons=horizons, hausdorff_gap=0.0
+        hull=hull, hull_coarse=hull, sample_means=np.empty((0, 2)), horizons=horizons, hausdorff_gap=0.0
     )
 
 
@@ -1002,6 +1030,8 @@ SFT_GRAPH_CASES = {
     ),
     "bad_edge": "vertices 2\n0 5 1 0\n",
     "no_count": "vertices\n0 0 1 0\n",
+    "count_then_junk": "vertices 1 junk\n0 0 1 0\n",
+    "glued_keyword": "verticesXYZ 1\n0 0 1 0\n",
     "zero_denominator": "vertices 1\n0 0 1/0 0\n",
 }
 
@@ -1012,6 +1042,12 @@ SFT_GRAPH_CASES = {
         pytest.param("graph = {missing}", "absent.txt", id="missing-graph"),
         pytest.param("graph = {bad_edge}", "edge (0, 5) out of range", id="bad-edge"),
         pytest.param("graph = {no_count}", "[sft] graph: malformed line 'vertices'", id="no-count"),
+        pytest.param(
+            "graph = {count_then_junk}", "[sft] graph: malformed line 'vertices 1 junk'", id="count-then-junk"
+        ),
+        pytest.param(
+            "graph = {glued_keyword}", "[sft] graph: malformed line 'verticesXYZ 1'", id="glued-keyword"
+        ),
         pytest.param(
             "graph = {zero_denominator}",
             "[sft] graph: malformed line '0 0 1/0 0'",

@@ -71,7 +71,7 @@ def test_components_partition_points():
     m = td.make_standard_map(0.3)
     cloud = compute_confinement(m, "south", horizon=20, **SMALL)
     assert len(cloud.labels) == len(cloud.points)
-    assert set(cloud.unbounded_flags) == set(np.unique(cloud.labels))
+    assert set(np.unique(cloud.labels)) == set(range(1, cloud.n_components + 1))
 
 
 def _grid_index(cloud):
@@ -91,17 +91,20 @@ def _grid_mask(cloud):
 
 
 def _per_component_flags(cloud):
-    """Reference boundary test: one pass over the survivors per component."""
+    """Reference boundary test: one pass over the survivors per component,
+    a flag per component id with id 0 (no component) False."""
     nx, ny = cloud.grid_shape
     index = _grid_index(cloud)
-    flags = {}
+    flags = [False]
     for cid in np.unique(cloud.labels):
         rows = index[cloud.labels == cid]
-        flags[int(cid)] = bool(
-            np.any(rows[:, 0] == 0)
-            or np.any(rows[:, 0] == nx - 1)
-            or np.any(rows[:, 1] == 0)
-            or np.any(rows[:, 1] == ny - 1)
+        flags.append(
+            bool(
+                np.any(rows[:, 0] == 0)
+                or np.any(rows[:, 0] == nx - 1)
+                or np.any(rows[:, 1] == 0)
+                or np.any(rows[:, 1] == ny - 1)
+            )
         )
     return flags
 
@@ -111,8 +114,8 @@ def test_unbounded_flags_match_per_component_loop(mode):
     m = td.make_standard_map(1.0)
     cloud = compute_confinement(m, mode, horizon=20, **SMALL)
     flags = _per_component_flags(cloud)
-    assert cloud.unbounded_flags == flags
-    assert any(flags.values()) and not all(flags.values())
+    assert cloud.unbounded.tolist() == flags
+    assert any(flags) and not all(flags[1:])
 
 
 def _reflect_vertical(m: LiftedTorusMap) -> LiftedTorusMap:
@@ -199,7 +202,6 @@ def _cloud_from_mask(mask, xs, ys, mode, window, grid_step, horizon, theta=None)
     grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
     flat = np.flatnonzero(mask)
     lab, n = ndimage.label(mask)
-    on_boundary = _boundary_flags(lab, n)
     return ConfinementCloud(
         mode=mode,
         theta=theta,
@@ -208,7 +210,7 @@ def _cloud_from_mask(mask, xs, ys, mode, window, grid_step, horizon, theta=None)
         grid_step=grid_step,
         points=grid[flat],
         labels=lab.flat[flat],
-        unbounded_flags={cid: bool(on_boundary[cid]) for cid in range(1, n + 1)},
+        unbounded=_boundary_flags(lab, n),
         grid_shape=mask.shape,
     )
 
@@ -331,7 +333,7 @@ def test_label_matches_ndimage_on_default_south_cloud(std_k2):
 def _reference_omega_probe(cloud, m, extra_iterations):
     """Reference probe: tests every iterate against the half plane and the
     window."""
-    pts = cloud.candidate_unbounded_points()
+    pts = cloud.points[cloud.unbounded[cloud.labels]]
     d, ok = _half_plane(cloud.mode, cloud.theta)
     (x0, x1), (y0, y1) = cloud.window
     alive = np.ones(len(pts), dtype=bool)
@@ -360,7 +362,7 @@ def _reference_omega_probe(cloud, m, extra_iterations):
 def test_omega_probe_matches_per_step_reference(mode, theta, k, epsilon):
     m = td.make_standard_map(k, epsilon)
     cloud = compute_confinement(m, mode, theta=theta, **DECK)
-    assert len(cloud.candidate_unbounded_points()) <= 2000  # no subsampling
+    assert np.count_nonzero(cloud.unbounded[cloud.labels]) <= 2000  # no subsampling
     verdict, drifts = omega_probe(cloud, m, 1000)
     ref_verdict, ref_drifts = _reference_omega_probe(cloud, m, 1000)
     assert verdict == ref_verdict
@@ -371,7 +373,7 @@ def test_omega_probe_matches_per_step_reference(mode, theta, k, epsilon):
 def test_omega_probe_non_finite_image_raises(std_k2, mode, theta):
     # at k = 1e308 the first image already passes the escape bound
     cloud = compute_confinement(std_k2, mode, theta=theta, **DECK)
-    assert len(cloud.candidate_unbounded_points()) > 0
+    assert np.count_nonzero(cloud.unbounded[cloud.labels]) > 0
     with np.errstate(all="ignore"), pytest.raises(
         OrbitEscapeError, match="^orbit escaped the coordinate bound after 1 steps$"
     ):

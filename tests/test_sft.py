@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -71,6 +72,69 @@ def test_simple_cycles_multigraph():
     assert (2, 3) in cycles  # the zero-weight 2-cycle
     with pytest.raises(CycleCapExceeded):
         simple_cycles(t, cap=1)
+
+
+def _unpruned_simple_cycles(s, cap):
+    """Reference: the depth-first enumeration that extends a path to every
+    vertex above the root, whether or not it can return to the root."""
+    cycles = []
+    out = {}
+    for e, (i, _, _) in enumerate(s.edges):
+        out.setdefault(i, []).append(e)
+    for root in sorted(out):
+        stack = [(root, (), (root,))]
+        while stack:
+            v, path, seen = stack.pop()
+            for e in reversed(out.get(v, ())):
+                w = s.edges[e][1]
+                if w == root:
+                    cycles.append(path + (e,))
+                    if len(cycles) > cap:
+                        raise CycleCapExceeded("simple-cycle cap exceeded; hull is partial")
+                elif w > root and w not in seen:
+                    stack.append((w, path + (e,), seen + (w,)))
+    cycles.sort(key=lambda c: (len(c), c))
+    return cycles
+
+
+def _cycles_or_cap(enumerate_cycles, s, cap):
+    try:
+        return enumerate_cycles(s, cap=cap)
+    except CycleCapExceeded:
+        return "cap exceeded"
+
+
+@st.composite
+def _cyclic_multigraphs(draw):
+    """Multigraphs on up to 6 vertices, loops and parallel edges allowed,
+    each holding the closed walk through a drawn ring of vertices."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    ring = draw(st.lists(vertex, min_size=1, max_size=4))
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    edges = draw(st.permutations(edges))
+    return make_sft(n, [(i, j, 0, 0) for i, j in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclic_multigraphs(), st.integers(1, 40))
+def test_pruned_cycle_search_matches_unpruned(s, cap):
+    assert simple_cycles(s) == _unpruned_simple_cycles(s, sft.DEFAULT_CYCLE_CAP)
+    assert _cycles_or_cap(simple_cycles, s, cap) == _cycles_or_cap(_unpruned_simple_cycles, s, cap)
+
+
+def test_paths_that_cannot_return_are_not_searched():
+    # 30 layers of 2 vertices, all 4 edges between consecutive layers and
+    # two loops on the last vertex: 2**29 paths lead to the loops, none
+    # back to its root, and the search visits none of them
+    layers = 30
+    rows = [(2 * i + a, 2 * i + 2 + b, 0, 0) for i in range(layers - 1) for a in (0, 1) for b in (0, 1)]
+    rows += [(2 * layers - 1, 2 * layers - 1, 1, 0), (2 * layers - 1, 2 * layers - 1, 0, 1)]
+    start = time.perf_counter()
+    hull = cycle_rotation_hull(make_sft(2 * layers, rows))
+    assert time.perf_counter() - start < 1.0
+    assert hull == [(F(0), F(1)), (F(1), F(0))]
 
 
 def _linked_by_search(vertex_sets):
