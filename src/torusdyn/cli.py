@@ -12,17 +12,17 @@ values and unread keys carry their line number; a missing command, map or
 sft-orbit rho; a negative rng_seed or --seed; an output directory that
 cannot be created, such as a path naming a file; a map of the wrong
 homotopy class for rotset or vrotset; an unreadable or malformed [sft]
-graph, a cycle_cap below its vertex count, a rho outside its cycle-mean
-hull); 3 numerical abort, any `maps.NumericalAbort` (an orbit escape at
-a check of `maps.iterate`'s one schedule, in every command but
-find-periodic and the sft ones: y past the bound, or x or its offset not
-finite; a non-finite orbit Jacobian; a singular Newton matrix, failed
-manifold growth, a [grow] seed with no hyperbolic periodic point, the
-simple-cycle cap exceeded, no vertex-connected cycle combination for rho),
-or out of memory (a `MemoryError`: an allocation failed, such as a vrotset
-grid too large to hold).  In check-all a `NumericalAbort` in a gated check
-reads as an inconclusive row; one in the rotation estimate, which decides
-the gate, exits 3.
+graph, a rho outside its cycle-mean hull); 3 numerical abort, any
+`maps.NumericalAbort` (an orbit escape at a check of `maps.iterate`'s one
+schedule, in every command but find-periodic and the sft ones: y past the
+bound, or x or its offset not finite; a non-finite orbit Jacobian; a
+singular Newton matrix, failed manifold growth, a [grow] seed with no
+hyperbolic periodic point, the simple-cycle cap exceeded, no
+vertex-connected cycle combination for rho), or out of memory (a
+`MemoryError`: an allocation failed, such as a vrotset grid too large to
+hold).  In check-all a `NumericalAbort` in a gated check reads as an
+inconclusive row; one in the rotation estimate, which decides the gate,
+exits 3.
 """
 
 from __future__ import annotations
@@ -331,10 +331,7 @@ def run_mixing(run: Run, outdir: OutputDir) -> int:
 
 def run_sft_hull(run: Run, outdir: OutputDir) -> int:
     s = run.sft
-    try:
-        hull = sft.cycle_rotation_hull(s, run.cfg.get("sft", "cycle_cap"))
-    except ValueError as exc:  # cycle_cap below the vertex count
-        raise ConfigError("[sft] %s" % exc) from exc
+    hull = sft.cycle_rotation_hull(s, run.cfg.get("sft", "cycle_cap"))
     write_json(
         outdir / "sft_hull.json",
         {"vertices": s.n, "edges": len(s.edges), "hull": [[str(x), str(y)] for x, y in hull]},

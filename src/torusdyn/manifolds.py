@@ -68,9 +68,8 @@ class GrowthError(NumericalAbort):
 class ManifoldCurve:
     """Polyline approximation of one branch of W^u or W^s."""
 
-    owner: PeriodicPoint
+    owner: PeriodicPoint | None  # None for a raw polyline
     kind: str            # "unstable" | "stable"
-    branch: str          # "+" | "-"
     vertices: np.ndarray
     arclength: float
     growth_log: tuple    # (iteration levels, refinement insertions)
@@ -106,19 +105,9 @@ def polyline_curve(vertices, h_max: float = DEFAULT_H_MAX, kind: str = "unstable
     """Wrap a raw polyline as a curve (for tests and synthetic scans)."""
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     arclength = float(np.sum(_segment_lengths(vertices[:, 0], vertices[:, 1])))
-    owner = PeriodicPoint(
-        point=vertices[0],
-        period=1,
-        translation=(0, 0),
-        jacobian=np.eye(2),
-        eigenvalues=np.array([1.0 + 0j, 1.0 + 0j]),
-        classification="parabolic",
-        residual=0.0,
-    )
     return ManifoldCurve(
-        owner=owner,
+        owner=None,
         kind=kind,
-        branch="+",
         vertices=vertices,
         arclength=arclength,
         growth_log=(0, 0),
@@ -285,7 +274,6 @@ def grow_manifold(
     return ManifoldCurve(
         owner=pp,
         kind=kind,
-        branch=branch,
         vertices=np.stack([np.concatenate(xs), np.concatenate(ys)], axis=1),
         arclength=arclength,
         growth_log=(level, insertions),

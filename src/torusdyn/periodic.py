@@ -17,7 +17,6 @@ from .maps import LiftedTorusMap, NumericalAbort, require_finite
 NEWTON_STEP_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-DEDUP_RADIUS = 1e-8
 PARABOLIC_BAND = 1e-9
 
 
@@ -208,11 +207,10 @@ def sweep_periodic(
     The seeds are solved as one batch, and the result equals running
     `newton_periodic` from each seed in turn and keeping, in seed order,
     each point that is not a duplicate of one kept before it.
-    Deduplication: distance modulo integer translates below 10 * DEDUP_RADIUS
-    (which covers plane distance below DEDUP_RADIUS), and cyclic shifts along
-    the same q-orbit.  Singular seeds are skipped (a fully degenerate family
-    reports as an empty list); a kept point whose D f^q overflows raises
-    NonFiniteImageError.
+    Deduplication: distance modulo integer translates below 1e-6 from any
+    point of a kept point's q-orbit, the point itself included.  Singular
+    seeds are skipped (a fully degenerate family reports as an empty list);
+    a kept point whose D f^q overflows raises NonFiniteImageError.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     if len(seeds) == 0:
@@ -230,11 +228,8 @@ def sweep_periodic(
     while left.any():
         i = int(np.argmax(left))
         found.append(_make_point(z[i], q, pr, J[i], residual[i]))
-        dup = _mod1_distance(z, z[i]) < DEDUP_RADIUS * 10
         w = z[i]
         for _ in range(q):
-            dup |= _mod1_distance(w, z) < 1e-6
+            left &= ~(_mod1_distance(w, z) < 1e-6)
             w = m.forward(w)
-        left &= ~dup
-        left[i] = False
     return found

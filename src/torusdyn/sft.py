@@ -27,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from .geometry import _cross, _monotone_chain
@@ -55,17 +56,20 @@ class WeightedSft:
     edges: tuple  # ((i, j, (Fraction, Fraction)), ...)
 
     def __post_init__(self):
+        # a topological sort exists exactly when no cycle does, found in
+        # time linear in the edges
+        order = TopologicalSorter()
         for i, j, w in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError("edge (%d, %d) out of range" % (i, j))
             if len(w) != 2:
                 raise ValueError("weights must be 2-vectors")
+            order.add(j, i)
         try:
-            has_cycle = bool(simple_cycles(self, cap=1))
-        except CycleCapExceeded:
-            has_cycle = True
-        if not has_cycle:
-            raise ValueError("graph must contain at least one cycle")
+            order.prepare()
+        except CycleError:
+            return
+        raise ValueError("graph must contain at least one cycle")
 
 
 def make_sft(n: int, edges) -> WeightedSft:
@@ -172,8 +176,6 @@ def rational_hull(points: list) -> list:
 
 def cycle_rotation_hull(sft: WeightedSft, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
     """Convex hull of simple-cycle mean weights, exact."""
-    if cycle_cap < sft.n:
-        raise ValueError("cycle_cap must be at least the vertex count")
     S, points = _mean_lattice(sft, simple_cycles(sft, cap=cycle_cap))
     return [(Fraction(x, S), Fraction(y, S)) for x, y in rational_hull(points)]
 
@@ -359,8 +361,6 @@ def bounded_deviation_orbit(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if cycle_cap < sft.n:
-        raise ValueError("cycle_cap must be at least the vertex count")
     rho = (Fraction(rho[0]), Fraction(rho[1]))
     cycles = simple_cycles(sft, cap=cycle_cap)
     S, points = _mean_lattice(sft, cycles, rho)

@@ -1033,6 +1033,7 @@ SFT_GRAPH_CASES = {
     "count_then_junk": "vertices 1 junk\n0 0 1 0\n",
     "glued_keyword": "verticesXYZ 1\n0 0 1 0\n",
     "zero_denominator": "vertices 1\n0 0 1/0 0\n",
+    "million_vertices": "vertices 1000000\n0 0 1 0\n0 0 0 1\n",
 }
 
 
@@ -1054,16 +1055,6 @@ SFT_GRAPH_CASES = {
             id="zero-denominator",
         ),
         pytest.param("rho = 5,5", "strictly inside", id="rho-outside-hull"),
-        pytest.param(
-            "graph = {disconnected}\ncycle_cap = 1",
-            "cycle_cap must be at least the vertex count",
-            id="cap-below-vertices",
-        ),
-        pytest.param(
-            "graph = {disconnected}\nrho = 1/4,1/4\ncycle_cap = 1",
-            "cycle_cap must be at least the vertex count",
-            id="orbit-cap-below-vertices",
-        ),
     ],
 )
 def test_sft_input_errors_exit_2(tmp_path, capsys, sft_block, message):
@@ -1078,6 +1069,20 @@ def test_sft_input_errors_exit_2(tmp_path, capsys, sft_block, message):
     "command, sft_block, message",
     [
         pytest.param("sft-hull", "cycle_cap = 1", "simple-cycle cap exceeded", id="cycle-cap"),
+        # the cap bounds only the cycles counted, not the vertices: two
+        # vertices, three cycles
+        pytest.param(
+            "sft-hull",
+            "graph = {disconnected}\ncycle_cap = 1",
+            "simple-cycle cap exceeded",
+            id="cap-below-vertices",
+        ),
+        pytest.param(
+            "sft-orbit",
+            "graph = {disconnected}\nrho = 1/4,1/4\ncycle_cap = 1",
+            "simple-cycle cap exceeded",
+            id="orbit-cap-below-vertices",
+        ),
         pytest.param(
             "sft-orbit",
             "graph = {disconnected}\nrho = 1/4,1/4",
@@ -1096,6 +1101,13 @@ def test_sft_search_failures_exit_3(tmp_path, capsys, command, sft_block, messag
     assert _run_sft(tmp_path, command, sft_block) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: ") and message in err
+
+
+def test_sft_hull_with_more_vertices_than_cycle_cap(tmp_path):
+    # two cycles at the default cap of 10,000, on a million vertices
+    assert _run_sft(tmp_path, "sft-hull", "graph = {million_vertices}") == 0
+    hull = json.loads((tmp_path / "out_run.cfg" / "sft_hull.json").read_text())["hull"]
+    assert hull == [["0", "1"], ["1", "0"]]
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])

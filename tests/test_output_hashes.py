@@ -10,6 +10,19 @@ import pytest
 from torusdyn import cli
 from torusdyn.report import sha256_file
 
+# [sft] graph files, written into the working directory of every run; the
+# configs name them by relative path, so manifest.json echoes a fixed one
+GRAPHS = {
+    # complete digraph on 4 vertices with self-loops and quarter-integer
+    # weights; 17/168,55/336 is the mean of its 7 hull vertices
+    "k4.txt": (
+        "vertices 4\n0 0 1/2 -3/4\n0 1 1/2 1/4\n0 2 -3/4 3/4\n0 3 -1/2 1\n"
+        "1 0 1/2 -1/2\n1 1 -1/4 -1/4\n1 2 1/4 3/4\n1 3 -1/4 1/4\n"
+        "2 0 -1/4 3/4\n2 1 -1/2 -1\n2 2 3/4 -1/2\n2 3 3/4 1/2\n"
+        "3 0 -1/4 -1\n3 1 1 3/4\n3 2 -1/4 1\n3 3 -1/2 -3/4\n"
+    ),
+}
+
 # name -> (config, file name -> sha256)
 PINNED = {
     "rotset-drift-shear": (
@@ -56,14 +69,43 @@ PINNED = {
             "omega.json": "e03adde91924aca8edf4f2cc62a0f49f4466b6b9306b4db554d51e872ba01329",
         },
     ),
+    "sft-hull-k4": (
+        "[run]\ncommand = sft-hull\n[sft]\ngraph = k4.txt\n",
+        {
+            "manifest.json": "f182dbf239f3f15124e7b75683558437aaec7b5efbd86c0d3083cc769c8be23c",
+            "sft_hull.json": "05936043a17f5d40d7bbdab4c056bfc0e8a8005fc7ae450bbca2951771f75ee6",
+        },
+    ),
+    "sft-orbit-k4": (
+        "[run]\ncommand = sft-orbit\n[sft]\ngraph = k4.txt\nrho = 17/168,55/336\n",
+        {
+            "manifest.json": "81444ac09de11904a033e6a5195af90a45d347972c742ddbb1da01d0399f8220",
+            "sft_orbit.json": "8fa5bf021c1b1c9f89eaa33446e93569015c8a6b55f11d645a97db080fc0d46d",
+        },
+    ),
+    "sft-hull-two-loop": (
+        "[run]\ncommand = sft-hull\n",
+        {
+            "manifest.json": "2b06a14c98f76bc998ecbe23788ce1028a253401c073b137ae38587023b4f5b2",
+            "sft_hull.json": "bdc2d7f852eb95652cb6ff30d3b91ed8deb833c66fd523338f78cb9f210dd11e",
+        },
+    ),
+    "sft-orbit-two-loop": (
+        "[run]\ncommand = sft-orbit\n[sft]\nrho = 1/3,2/3\n",
+        {
+            "manifest.json": "e18e66d7c51d50c91c4cef346d25411f3e4354d8bfa8096725d176619ff92dca",
+            "sft_orbit.json": "57d490e5178da849c7668b27eb5e19ca83898af1b04c8b02545c29247d4d1379",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_outputs_match_pinned_digests(tmp_path, name):
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
     text, digests = PINNED[name]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
-    assert {p.name: sha256_file(p) for p in out.iterdir()} == digests
+    monkeypatch.chdir(tmp_path)
+    for graph, graph_text in GRAPHS.items():
+        (tmp_path / graph).write_text(graph_text)
+    (tmp_path / "run.cfg").write_text(text)
+    assert cli.main(["run", "run.cfg", "--out", "out"]) == 0
+    assert {p.name: sha256_file(p) for p in (tmp_path / "out").iterdir()} == digests

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import torusdyn as td
 from torusdyn import periodic
 from torusdyn.periodic import (
-    DEDUP_RADIUS,
     NEWTON_MAX_ITER,
     NEWTON_STEP_TOL,
     RESIDUAL_TOL,
@@ -21,6 +20,7 @@ from torusdyn.periodic import (
 from conftest import make_linear_saddle
 
 FOUR_PI = 4.0 * np.pi
+DEDUP_RADIUS = 1e-8  # ref_sweep's plane-distance duplicate radius
 
 
 # Reference: the one-seed-at-a-time Newton and sweep that the batched solver

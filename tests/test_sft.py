@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,40 @@ def test_vertex_connected_rule_matches_search():
     for n in (1, 2, 3):
         for sets in product(subsets, repeat=n):
             assert sft._cycles_vertex_connected(list(sets)) == _linked_by_search(sets)
+
+
+def test_building_a_graph_walks_no_paths():
+    # 0 <-> 1, then 30 layers of 2 vertices from 1 back to 1, consecutive
+    # layers fully joined: a path walk from root 0 visits 2**30 paths that
+    # return to 1, not 0, but the cycle check on construction is linear in
+    # the edges
+    layers = [(1,)] + [(2 * k, 2 * k + 1) for k in range(1, 31)] + [(1,)]
+    rows = [(0, 1, 0, 0), (1, 0, 0, 0)]
+    rows += [(i, j, 0, 0) for a, b in zip(layers, layers[1:]) for i in a for j in b]
+    start = time.perf_counter()
+    make_sft(62, rows)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def _multigraphs(draw):
+    """Multigraphs on up to 6 vertices, loops and parallel edges allowed."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_graph_rejected_exactly_without_a_cycle(graph):
+    n, edges = graph
+    raw = SimpleNamespace(edges=[(i, j, None) for i, j in edges])
+    rows = [(i, j, 0, 0) for i, j in edges]
+    if _unpruned_simple_cycles(raw, sft.DEFAULT_CYCLE_CAP):
+        make_sft(n, rows)
+    else:
+        with pytest.raises(ValueError, match="graph must contain at least one cycle"):
+            make_sft(n, rows)
 
 
 def test_graph_without_cycle_rejected():
@@ -527,8 +562,7 @@ def test_memory_does_not_grow_with_vertices_without_edges():
     assert simple_cycles(big) == simple_cycles(small)
     assert hull == cycle_rotation_hull(small)
     assert orbit.word == bounded_deviation_orbit(small, (F(0), F(0)), 100).word
-    with pytest.raises(ValueError, match="cycle_cap must be at least the vertex count"):
-        cycle_rotation_hull(big)
+    assert cycle_rotation_hull(big) == cycle_rotation_hull(small)
 
 
 def test_lattice_scale_beyond_int64():
